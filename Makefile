@@ -44,13 +44,13 @@ chaos-demo:
 ## Concurrent-workload demo: four queries admitted into one shared
 ## simulation, with the admission/grant/finish timeline printed.
 concurrent-demo:
-	$(PYTHON) -m repro --concurrent 4
+	$(PYTHON) -m repro run --concurrent 4
 
 ## Shared-work demo: eight queries (each shape twice) with identical
 ## subplans folded onto shared operators; prints the makespan gain of
 ## folding over private concurrent execution.
 shared-demo:
-	$(PYTHON) -m repro --concurrent 8 --shared
+	$(PYTHON) -m repro run --concurrent 8 --shared
 
 ## Workload telemetry demo: the shared MPL-4 workload with the full
 ## WorkloadReport (tail latencies, admission, grants, pools, folds)
@@ -77,7 +77,7 @@ profile-demo:
 ## chaos adaptive sweep gate (adaptive strictly beats static on every
 ## slowed cell, bit-identical on the uniform one).
 adaptive-demo:
-	$(PYTHON) -m repro run --concurrent 4 --adaptive
+	$(PYTHON) -m repro run --concurrent 4 --policy adaptive
 	$(PYTHON) -m repro chaos --seed 0 --seeds 1
 
 ## Serving demo: seeded open-loop arrivals at 2x the measured
@@ -88,8 +88,8 @@ serve-demo:
 	$(PYTHON) -m repro serve --count 300 --check
 
 ## Deprecation gate: the tier-1 suite with DeprecationWarning promoted
-## to an error, so no internal caller leans on a deprecated surface
-## (e.g. WorkloadOptions(rebalance=...) instead of SchedulingPolicy).
+## to an error, so no new deprecated surface (ours or a dependency's)
+## slips into an internal caller unnoticed.
 ## The one exemption is a third-party import-time warning
 ## (mypy_extensions via hypothesis' libcst extra) we cannot fix here.
 deprecation-gate:
@@ -100,7 +100,7 @@ deprecation-gate:
 ## JSONL event log + metrics snapshot into benchmarks/results/.
 trace-demo:
 	mkdir -p benchmarks/results
-	$(PYTHON) -m repro --explain \
+	$(PYTHON) -m repro run --explain \
 		--trace-out benchmarks/results/trace_demo.json \
 		--events-out benchmarks/results/trace_demo.jsonl \
 		--metrics-out benchmarks/results/trace_demo.txt
@@ -108,13 +108,13 @@ trace-demo:
 ## Diagnostics demo: critical path + imbalance doctor on the skewed
 ## AssocJoin, recorded into the run registry.
 diagnose-demo:
-	$(PYTHON) -m repro --diagnose --record --run-id diagnose-demo
+	$(PYTHON) -m repro diagnose --record --run-id diagnose-demo
 
 ## A/B demo: record Random vs LPT on the skewed AssocJoin, then
 ## compare the two registry records.
 compare-demo:
-	$(PYTHON) -m repro --diagnose --strategy random \
+	$(PYTHON) -m repro diagnose --strategy random \
 		--record --run-id demo-random > /dev/null
-	$(PYTHON) -m repro --diagnose --strategy lpt \
+	$(PYTHON) -m repro diagnose --strategy lpt \
 		--record --run-id demo-lpt > /dev/null
 	$(PYTHON) -m repro compare demo-random demo-lpt

@@ -34,7 +34,7 @@ so queries re-check members against their own ``now`` — a plain
 integer-indexed comparison, far cheaper than the method-call scan it
 replaces, and over only the plausibly ready queues instead of all d.
 
-Selection mirrors the legacy scan exactly, without iterating queues:
+Selection mirrors the linear scan exactly, without iterating queues:
 
 * ready main candidates are the own-pool members with head <= now,
   returned in instance order (the order the scan produced);
@@ -194,7 +194,7 @@ class ReadyIndex:
         """Candidate queues for *thread* at time *now*.
 
         Returns ``(ready, polls, used_secondary)`` reproducing the
-        legacy linear scan bit-for-bit: the same candidate list in the
+        linear scan bit-for-bit: the same candidate list in the
         same (instance) order, and the same count of not-ready queues
         charged as ``poll_empty`` work.
         """

@@ -86,15 +86,9 @@ class _WorkInProgress:
 class Simulator:
     """Runs operations of one (or several) queries to completion."""
 
-    def __init__(self, machine: Machine, seed: int = 0,
-                 use_ready_index: bool = True) -> None:
+    def __init__(self, machine: Machine, seed: int = 0) -> None:
         self.machine = machine
         self.rng = random.Random(seed)
-        #: When False, candidate queues are found by the legacy linear
-        #: scan instead of the per-operation ready index.  Both paths
-        #: are virtual-time identical (the golden-trace tests pin
-        #: this); the flag exists so the equivalence stays testable.
-        self.use_ready_index = use_ready_index
         #: Invoked as ``callback(operation, thread)`` right after an
         #: operation's last thread terminates (``finished_at`` is set,
         #: downstream input-close already handled).  The workload
@@ -321,14 +315,14 @@ class Simulator:
     def _scan_select(self, thread: WorkerThread, now: float
                      ) -> tuple[list[ActivationQueue], int,
                                 float | None, bool]:
-        """Legacy candidate selection: linear scan over every queue.
+        """Candidate selection by linear scan over every queue.
 
         Scans main queues first, falling back to secondary queues; the
         earliest future ready time is tracked during the same scan so
-        an idle thread knows when to re-check.  Kept as the reference
-        implementation the ready index must match exactly (see the
-        golden-trace tests); O(d) per step, so only used when
-        ``use_ready_index`` is off.
+        an idle thread knows when to re-check.  O(d) per step, so
+        ``OperationRuntime.build_pool`` only picks it for operations
+        below ``READY_INDEX_MIN_INSTANCES``; the golden-trace tests pin
+        it to the ready index's virtual-time behaviour.
         """
         operation = thread.operation
         ready: list[ActivationQueue] = []
@@ -399,7 +393,7 @@ class Simulator:
         profiler = self._profiler
         if profiler is not None:
             profiler.enter("ready_scan")
-        index = operation.ready_index if self.use_ready_index else None
+        index = operation.ready_index
         if index is not None:
             ready, polls, used_secondary = index.select(
                 thread, now, operation.allow_secondary)

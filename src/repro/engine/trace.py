@@ -1,7 +1,8 @@
 """Execution traces and the ASCII Gantt renderer.
 
-When tracing is enabled (``ExecutionOptions(trace=True)``), the
-simulator records one event per processed activation — which thread,
+When tracing is enabled
+(``ExecutionOptions(observability=ObservabilityOptions(trace=True))``),
+the simulator records one event per processed activation — which thread,
 which operation, which virtual-time interval.  The trace renders as a
 Gantt chart (one row per thread, one glyph per operation), which makes
 the paper's load-balancing stories directly *visible*: a skewed

@@ -599,9 +599,7 @@ class _WorkloadRun:
         self.admission = AdmissionController(workload,
                                              metrics=self.metrics)
         self.budget = workload.thread_budget or machine.processors
-        self.simulator = Simulator(
-            machine, seed=exec_options.seed,
-            use_ready_index=exec_options.use_ready_index)
+        self.simulator = Simulator(machine, seed=exec_options.seed)
         self.simulator.on_operation_complete = self._on_operation_complete
         self.simulator.on_query_abort = self._on_query_abort
         #: Self-profiling: an explicit ``profile=True`` option makes
@@ -864,7 +862,8 @@ class _WorkloadRun:
         self._record_terminal(job, finish, job.outcome)
         self._try_admit(finish)
         if self.running:
-            self._refresh_grants(finish, grow=self.workload.rebalance)
+            self._refresh_grants(
+                finish, grow=self.workload.scheduling.rebalance)
 
     def _record_terminal(self, job: _QueryJob, finish: float,
                          status: str) -> None:
@@ -1505,7 +1504,8 @@ class _WorkloadRun:
         # emit — the workload bus ends on this query.finish.
         self._try_admit(finish)
         if self.running:
-            self._refresh_grants(finish, grow=self.workload.rebalance)
+            self._refresh_grants(
+                finish, grow=self.workload.scheduling.rebalance)
 
     # -- dynamic reallocation ---------------------------------------------------
 

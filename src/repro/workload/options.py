@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 
 from repro.adapt.policy import SchedulingPolicy
@@ -23,10 +22,7 @@ class WorkloadOptions:
 
     Scheduling behaviour lives in the nested
     :class:`~repro.adapt.policy.SchedulingPolicy` block
-    (``scheduling=``).  The old flat ``rebalance=`` boolean is kept as
-    a deprecated constructor alias for
-    ``scheduling=SchedulingPolicy(rebalance=...)`` and as a read-only
-    property.
+    (``scheduling=``).
     """
 
     max_concurrent: int = 4
@@ -75,44 +71,6 @@ class WorkloadOptions:
     queue is unbounded, and the run is bit-identical to the
     pre-serving engine — the escape hatch every layer keeps."""
 
-    # Hand-written so the deprecated flat ``rebalance=`` keyword can be
-    # accepted (with a warning) without being a field.  ``@dataclass``
-    # skips generating ``__init__`` when the class defines one.
-    def __init__(self, max_concurrent: int = 4,
-                 memory_limit_bytes: int | None = None,
-                 thread_budget: int | None = None,
-                 shared: bool = False,
-                 scheduling: SchedulingPolicy | None = None,
-                 observability: ObservabilityOptions | None = None,
-                 faults: object | None = None,
-                 serving: ServingPolicy | None = None,
-                 rebalance: bool | None = None) -> None:
-        if rebalance is not None:
-            if scheduling is not None:
-                raise WorkloadError(
-                    "pass rebalance inside SchedulingPolicy "
-                    "(scheduling=SchedulingPolicy(rebalance=...)), not "
-                    "both scheduling= and the deprecated rebalance= flag")
-            warnings.warn(
-                "WorkloadOptions(rebalance=...) is deprecated; use "
-                "WorkloadOptions(scheduling=SchedulingPolicy("
-                "rebalance=...))",
-                DeprecationWarning, stacklevel=2)
-            scheduling = SchedulingPolicy(rebalance=rebalance)
-        object.__setattr__(self, "max_concurrent", max_concurrent)
-        object.__setattr__(self, "memory_limit_bytes", memory_limit_bytes)
-        object.__setattr__(self, "thread_budget", thread_budget)
-        object.__setattr__(self, "shared", shared)
-        object.__setattr__(self, "scheduling",
-                           scheduling if scheduling is not None
-                           else SchedulingPolicy())
-        object.__setattr__(self, "observability",
-                           observability if observability is not None
-                           else ObservabilityOptions())
-        object.__setattr__(self, "faults", faults)
-        object.__setattr__(self, "serving", serving)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
             raise WorkloadError(
@@ -138,13 +96,6 @@ class WorkloadOptions:
             raise WorkloadError(
                 f"serving must be a ServingPolicy (or None), got "
                 f"{type(self.serving).__name__}")
-
-    # Read-only view for the old flat name (engine call sites and user
-    # code keep reading ``options.rebalance``).
-    @property
-    def rebalance(self) -> bool:
-        """Deprecated alias for ``scheduling.rebalance``."""
-        return self.scheduling.rebalance
 
     def replace(self, **changes) -> "WorkloadOptions":
         """Copy with the given fields replaced (ergonomic twin of

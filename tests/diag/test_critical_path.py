@@ -1,5 +1,7 @@
 """Critical-path extraction: invariants, attribution, bottleneck."""
 
+import re
+
 import pytest
 
 from repro.diag import ObservedRun, critical_path
@@ -8,6 +10,11 @@ from repro.engine.executor import Executor, QuerySchedule
 from repro.errors import ReproError
 from repro.lera.plans import ideal_join_plan
 from repro.machine.machine import Machine
+
+#: The fix the unobserved-execution error must point at (a spelling
+#: that constructs today).
+OBSERVE_HINT = re.escape(
+    "ExecutionOptions(observability=ObservabilityOptions(observe=True))")
 
 
 class TestInvariants:
@@ -95,7 +102,7 @@ class TestErrors:
                                "key", "key")
         execution = Executor(Machine.uniform(processors=8)).execute(
             plan, QuerySchedule.for_plan(plan, 2))
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match=OBSERVE_HINT):
             critical_path(execution)
 
 

@@ -2,8 +2,9 @@
 
 Reduced-scale versions of the paper's Figure 13 (IdealJoin under Zipf
 skew, LPT vs Random) and Figure 14 (AssocJoin pipeline) workloads run
-twice — once with the ready index, once with the legacy linear scan —
-and must produce *bit-identical* executions: response time, per-op
+twice — once with the ready index, once with the linear scan (forced
+by raising READY_INDEX_MIN_INSTANCES above the degree) — and must
+produce *bit-identical* executions: response time, per-op
 poll/secondary/dequeue/enqueue counters, and result rows.  On top of
 the pairwise check, the headline numbers are pinned as literals so a
 change that drifts BOTH selection paths at once still trips.
@@ -15,6 +16,7 @@ the tier-1 budget (the full matrix lives in repro.bench.perf_baseline).
 
 import pytest
 
+import repro.engine.operation
 from repro.bench.runners import default_machine
 from repro.bench.workloads import make_join_database
 from repro.engine.executor import ExecutionOptions, Executor
@@ -38,14 +40,13 @@ GOLDEN = {
 }
 
 
-def _execute(database, kind, strategy, use_ready_index):
+def _execute(database, kind, strategy):
     machine = default_machine()
     builder = ideal_join_plan if kind == "ideal" else assoc_join_plan
     plan = builder(database.entry_a, database.entry_b, "key", "key")
     schedule = AdaptiveScheduler(machine).schedule(plan, THREADS)
     schedule = schedule.with_strategy("join", strategy)
-    executor = Executor(machine, ExecutionOptions(
-        seed=0, use_ready_index=use_ready_index))
+    executor = Executor(machine, ExecutionOptions(seed=0))
     return executor.execute(plan, schedule)
 
 
@@ -63,11 +64,16 @@ def _trace(execution):
 
 
 @pytest.mark.parametrize("kind,theta,strategy", sorted(GOLDEN))
-def test_index_and_scan_produce_identical_traces(kind, theta, strategy):
+def test_index_and_scan_produce_identical_traces(kind, theta, strategy,
+                                                monkeypatch):
     assert DEGREE >= READY_INDEX_MIN_INSTANCES  # the index is engaged
     database = make_join_database(CARD_A, CARD_B, DEGREE, theta)
-    with_index = _execute(database, kind, strategy, use_ready_index=True)
-    with_scan = _execute(database, kind, strategy, use_ready_index=False)
+    with_index = _execute(database, kind, strategy)
+    # build_pool reads the threshold at call time: above the degree,
+    # every operation falls back to the linear scan.
+    monkeypatch.setattr(repro.engine.operation,
+                        "READY_INDEX_MIN_INSTANCES", DEGREE + 1)
+    with_scan = _execute(database, kind, strategy)
     assert _trace(with_index) == _trace(with_scan)
 
     golden_response, golden_polls = GOLDEN[(kind, theta, strategy)]

@@ -1,6 +1,8 @@
-"""The ``python -m repro`` observed-run CLI path."""
+"""The ``python -m repro run`` CLI paths: observed run and workload."""
 
 import json
+
+import pytest
 
 from repro.__main__ import main, observed_run
 
@@ -25,10 +27,42 @@ class TestObservedRun:
 
     def test_main_routes_observability_flags(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
-        code = main(["--events-out", str(events), "--threads", "8"])
+        code = main(["run", "--events-out", str(events), "--threads", "8"])
         assert code == 0
         assert events.exists()
 
     def test_explain_alone_runs_without_files(self, capsys):
-        assert main(["--explain", "--threads", "8"]) == 0
+        assert main(["run", "--explain", "--threads", "8"]) == 0
         assert "step 4" in capsys.readouterr().out
+
+
+class TestWorkloadRun:
+    def test_concurrent_prints_timeline_and_speedup(self, capsys):
+        assert main(["run", "--concurrent", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "timeline (virtual time):" in out
+        assert "reason=admission" in out
+        assert "concurrent makespan" in out
+
+    def test_shared_prints_folding_gain(self, capsys):
+        assert main(["run", "--concurrent", "2", "--shared"]) == 0
+        out = capsys.readouterr().out
+        assert "shared-work folding ON" in out
+        assert "folding gains" in out
+
+    def test_adaptive_policy_prints_decision_log(self, capsys):
+        assert main(["run", "--concurrent", "2", "--policy",
+                     "adaptive"]) == 0
+        out = capsys.readouterr().out
+        assert "adaptive scheduling ON" in out
+        # The decision log's "mid-flight" steps, or the explicit
+        # "no mid-flight decisions" line on a healthy run.
+        assert "mid-flight" in out
+
+    def test_policy_needs_concurrent(self):
+        with pytest.raises(SystemExit):
+            main(["run", "--policy", "adaptive"])
+
+    def test_top_level_workload_flags_are_gone(self):
+        with pytest.raises(SystemExit):
+            main(["--concurrent", "2"])

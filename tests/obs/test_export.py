@@ -1,6 +1,7 @@
 """Exporters: JSONL round-trip, Chrome trace structure, self-audit."""
 
 import json
+import re
 
 import pytest
 
@@ -24,6 +25,11 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.probes import ACTIVE_THREADS, queue_depth_key
+
+#: The fix the unobserved-execution error must point at (a spelling
+#: that constructs today).
+OBSERVE_HINT = re.escape(
+    "ExecutionOptions(observability=ObservabilityOptions(observe=True))")
 
 
 def _observed(plan, threads=4, strategy="random"):
@@ -52,9 +58,9 @@ class TestSelfAudit:
         plan = ideal_join_plan(join_db.entry_a, join_db.entry_b, "key", "key")
         execution = Executor(Machine.uniform(processors=8)).execute(
             plan, QuerySchedule.for_plan(plan, 2))
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match=OBSERVE_HINT):
             metrics_snapshot(execution)
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match=OBSERVE_HINT):
             list(jsonl_records(execution))
 
 

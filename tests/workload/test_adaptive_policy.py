@@ -3,8 +3,7 @@
 Acceptance behaviors from the diagnostics-driven-scheduling design:
 
 * ``SchedulingPolicy`` validates its knobs at construction and nests
-  in ``WorkloadOptions``; the flat ``rebalance=`` boolean survives as
-  a ``DeprecationWarning`` alias;
+  in ``WorkloadOptions``;
 * with the producer joins slowed, the controller re-splits the wave
   grant toward the blamed producers (conserving the thread budget
   exactly), beats the static policy in virtual time, and changes no
@@ -18,7 +17,6 @@ Acceptance behaviors from the diagnostics-driven-scheduling design:
   the CPU-only path.
 """
 
-import warnings
 
 import pytest
 
@@ -100,27 +98,6 @@ class TestSchedulingPolicyApi:
     def test_non_policy_scheduling_rejected(self):
         with pytest.raises(WorkloadError, match="scheduling"):
             WorkloadOptions(scheduling="adaptive")
-
-
-class TestDeprecatedRebalanceAlias:
-    def test_flat_rebalance_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="rebalance"):
-            options = WorkloadOptions(rebalance=False)
-        assert options.scheduling == SchedulingPolicy(rebalance=False)
-        assert options.rebalance is False
-
-    def test_alias_conflicts_with_explicit_block(self):
-        with pytest.raises(WorkloadError, match="rebalance"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                WorkloadOptions(rebalance=False,
-                                scheduling=SchedulingPolicy())
-
-    def test_default_construction_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            WorkloadOptions()
-            WorkloadOptions(scheduling=SchedulingPolicy(rebalance=False))
 
 
 class TestMonitorsValidation:

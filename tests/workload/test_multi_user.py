@@ -1,14 +1,21 @@
-"""Multi-user concurrent execution."""
+"""Multi-user batches: hand-built plans through the workload engine.
+
+A batch of (plan, schedule) pairs submitted at t=0 with the admission
+bound and the thread budget lifted to the batch, so step 0 grants
+every query its full schedule: all queries share one simulation, and
+the machine's dilation follows the combined thread count.
+"""
 
 import pytest
 
-from repro.bench.workloads import make_join_database, skewed_fragments
-from repro.engine.concurrent import ConcurrentExecutor
+from repro.bench.workloads import make_join_database
+from repro.compiler.parallelizer import CompiledQuery
 from repro.engine.executor import Executor, QuerySchedule
-from repro.errors import ExecutionError, PlanError
 from repro.lera.plans import assoc_join_plan, ideal_join_plan
 from repro.machine.machine import Machine
 from repro.scheduler.adaptive import AdaptiveScheduler
+from repro.workload.engine import QuerySubmission, WorkloadExecutor
+from repro.workload.options import WorkloadOptions
 
 MACHINE = Machine.uniform(processors=16)
 
@@ -26,21 +33,43 @@ def _workload(count=3, threads=4, theta=0.0, card_a=2000, card_b=200):
     return workload, expected
 
 
-class TestConcurrentExecution:
+def _run_batch(machine, workload):
+    """Run every (plan, schedule) pair at once, each at full demand."""
+    submissions = [
+        QuerySubmission(f"q{i}", CompiledQuery(plan, None, None, f"q{i}"),
+                        schedule)
+        for i, (plan, schedule) in enumerate(workload)]
+    budget = sum(op.threads for _, schedule in workload
+                 for op in schedule.operations.values())
+    options = WorkloadOptions(max_concurrent=len(workload),
+                              thread_budget=budget)
+    return WorkloadExecutor(machine, workload=options).execute(submissions)
+
+
+class TestMultiUserBatch:
     def test_results_per_query(self):
         workload, expected = _workload()
-        result = ConcurrentExecutor(MACHINE).execute(workload)
-        assert [e.result_cardinality for e in result.executions] == expected
+        result = _run_batch(MACHINE, workload)
+        assert [result.execution(tag).result_cardinality
+                for tag in result.order] == expected
+
+    def test_empty_batch_runs_to_empty_result(self):
+        """An empty batch is not an error: it finishes at once with
+        nothing to report."""
+        result = WorkloadExecutor(MACHINE).execute([])
+        assert result.executions == {}
+        assert result.order == ()
+        assert result.makespan == 0.0
 
     def test_makespan_covers_every_query(self):
         workload, _ = _workload()
-        result = ConcurrentExecutor(MACHINE).execute(workload)
+        result = _run_batch(MACHINE, workload)
         assert result.makespan == pytest.approx(
-            max(e.response_time for e in result.executions))
+            max(e.response_time for e in result.executions.values()))
 
     def test_throughput_beats_serial_with_spare_processors(self):
         workload, _ = _workload(count=4, threads=4)
-        concurrent = ConcurrentExecutor(MACHINE).execute(workload)
+        concurrent = _run_batch(MACHINE, workload)
         serial = sum(Executor(MACHINE).execute(plan, schedule).response_time
                      for plan, schedule in workload)
         assert concurrent.makespan < serial
@@ -50,32 +79,15 @@ class TestConcurrentExecution:
         small_machine = Machine.uniform(processors=4)
         workload, _ = _workload(count=4, threads=4)
         alone = Executor(small_machine).execute(*workload[0]).response_time
-        shared = ConcurrentExecutor(small_machine).execute(workload)
-        assert shared.executions[0].response_time > alone
+        shared = _run_batch(small_machine, workload)
+        assert shared.execution("q0").response_time > alone
 
     def test_mean_response_time(self):
         workload, _ = _workload(count=2)
-        result = ConcurrentExecutor(MACHINE).execute(workload)
-        expected = sum(e.response_time for e in result.executions) / 2
+        result = _run_batch(MACHINE, workload)
+        expected = sum(e.response_time
+                       for e in result.executions.values()) / 2
         assert result.mean_response_time == pytest.approx(expected)
-
-    def test_empty_workload_rejected(self):
-        with pytest.raises(ExecutionError):
-            ConcurrentExecutor(MACHINE).execute([])
-
-    def test_multi_wave_plan_rejected(self):
-        from repro.lera.plans import two_phase_join_plan
-        from repro.storage.catalog import Catalog
-        from repro.storage.partitioning import PartitioningSpec
-        database = make_join_database(500, 50, degree=5, theta=0.0)
-        relation_c, fragments_c = skewed_fragments("C", 100, 4, 0.0)
-        entry_c = Catalog().register_fragments(
-            relation_c, PartitioningSpec.on("key", 4), fragments_c)
-        plan = two_phase_join_plan(database.entry_a, database.entry_b,
-                                   "key", "key", entry_c, "key", "key")
-        with pytest.raises(PlanError, match="single-wave"):
-            ConcurrentExecutor(MACHINE).execute(
-                [(plan, QuerySchedule.for_plan(plan, 2))])
 
     def test_multi_user_factor_raises_throughput_under_contention(self):
         """The [Rahm93] hook: damping per-query parallelism leaves
@@ -93,12 +105,12 @@ class TestConcurrentExecution:
                 plan = ideal_join_plan(database.entry_a, database.entry_b,
                                        "key", "key")
                 workload.append((plan, scheduler.schedule(plan)))
-            return ConcurrentExecutor(machine).execute(workload)
+            return _run_batch(machine, workload)
 
         full = batch(scheduler_full)
         damped = batch(scheduler_damped)
         # The damped batch allocates fewer threads in total ...
-        assert (sum(e.total_threads for e in damped.executions)
-                < sum(e.total_threads for e in full.executions))
+        assert (sum(e.total_threads for e in damped.executions.values())
+                < sum(e.total_threads for e in full.executions.values()))
         # ... without losing much makespan (the machine was saturated).
         assert damped.makespan < full.makespan * 1.25
