@@ -11,6 +11,14 @@ the *matching* itself uses a hash table so the Python reproduction
 stays fast.  Results are identical; only wall-clock time differs.
 Index-based algorithms execute their actual data structure
 (:class:`~repro.storage.indexes.SortedIndex` / hash table).
+
+Build structures over a whole fragment live on the fragment
+(:meth:`~repro.storage.fragment.Fragment.lookup_table`,
+:meth:`~repro.storage.fragment.Fragment.sorted_index`): Python builds
+each one once and every operator and query reads it, as DBS3's threads
+read fragments in shared memory.  Virtual time does not see the
+sharing: every operator still charges the build cost the algorithm
+implies, exactly as if it had built a private copy.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from repro.lera.operators import (
 from repro.machine.costs import CostModel
 from repro.machine.machine import Machine
 from repro.storage.fragment import Fragment
-from repro.storage.indexes import SortedIndex
+from repro.storage.indexes import SortedIndex, build_lookup_table
 from repro.storage.tuples import Row
 
 
@@ -190,20 +198,6 @@ class JoinFunc(DBFunc):
         self.spec = spec
         self._outer_pos = spec.outer_fragments[0].schema.position(spec.outer_key)
         self._inner_pos = spec.inner_fragments[0].schema.position(spec.inner_key)
-        # Inner-side lookup tables, cached per instance so that chunked
-        # activations (grain > 1) of the same instance share them.  The
-        # *cost* charged still follows the configured algorithm.
-        self._inner_tables: dict[int, dict[object, list[Row]]] = {}
-
-    def _inner_table(self, instance: int) -> dict[object, list[Row]]:
-        table = self._inner_tables.get(instance)
-        if table is None:
-            table = {}
-            position = self._inner_pos
-            for row in self.spec.inner_fragments[instance].rows:
-                table.setdefault(row[position], []).append(row)
-            self._inner_tables[instance] = table
-        return table
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
@@ -224,9 +218,12 @@ class JoinFunc(DBFunc):
                    ) if ctx.tracks_memory else 0.0
         cost = self.costs.trigger_activation + penalty
         emitted: list[Row] = []
+        # A slice that is the whole outer fragment reads the fragment's
+        # shared build structures; a chunk (grain > 1) builds its own.
+        whole_outer = outer_rows is outer.rows
         algorithm = self.spec.algorithm
         if algorithm == JOIN_NESTED_LOOP:
-            table_get = self._inner_table(instance).get
+            table_get = inner.lookup_table(self._inner_pos).get
             emit = emitted.append
             outer_pos = self._outer_pos
             for left in outer_rows:
@@ -238,7 +235,8 @@ class JoinFunc(DBFunc):
             # Each chunk builds its own temp index over its slice and
             # probes it with the whole inner operand — repeated probe
             # work is the genuine price of the finer grain.
-            index = SortedIndex(outer_rows, self._outer_pos)
+            index = (outer.sorted_index(self._outer_pos) if whole_outer
+                     else SortedIndex(outer_rows, self._outer_pos))
             cost += self.costs.index_build_cost(slice_cardinality)
             inner_pos = self._inner_pos
             for right in inner.rows:
@@ -248,10 +246,8 @@ class JoinFunc(DBFunc):
                 cost += self.costs.index_probe_cost(
                     max(slice_cardinality, 1), len(matches))
         elif algorithm == JOIN_HASH:
-            table = {}
-            outer_pos = self._outer_pos
-            for row in outer_rows:
-                table.setdefault(row[outer_pos], []).append(row)
+            table = (outer.lookup_table(self._outer_pos) if whole_outer
+                     else build_lookup_table(outer_rows, self._outer_pos))
             inner_pos = self._inner_pos
             match_count = 0
             for right in inner.rows:
@@ -304,11 +300,14 @@ class TransmitFunc(DBFunc):
 class PipelinedJoinFunc(DBFunc):
     """Pipelined join: one incoming tuple probes the stored fragment.
 
-    With the temp-index (or hash) algorithm the per-instance lookup
-    structure is built lazily on the instance's first activation and
-    its build cost charged there; nested loop charges a full fragment
-    scan per probe, which is exactly why AssocJoin's pipelined work
-    shrinks as the degree of partitioning grows.
+    Probes read the stored fragment's shared lookup table (nested loop,
+    hash) or sorted index (temp index), built once per fragment.  With
+    the temp-index or hash algorithm each instance still charges the
+    structure's build cost on its own first activation, once per
+    (operator, instance), whether or not another operator or query
+    already built it; nested loop charges a full fragment scan per
+    probe, which is exactly why AssocJoin's pipelined work shrinks as
+    the degree of partitioning grows.
     """
 
     def __init__(self, spec: PipelinedJoinSpec, costs: CostModel) -> None:
@@ -320,21 +319,15 @@ class PipelinedJoinFunc(DBFunc):
         # fragment, so plans touching few instances pay nothing here —
         # eagerly sizing every stored fragment used to dominate this
         # constructor at high degrees of partitioning.
-        # Per-instance lazily built lookup structures.  The dict form is
-        # used for matching in every algorithm; the SortedIndex is also
-        # really built for temp_index so the structure is exercised.
-        self._tables: dict[int, dict[object, list[Row]]] = {}
-        self._indexes: dict[int, SortedIndex] = {}
+        # Instances whose build cost this operator has already charged.
+        self._charged: set[int] = set()
 
-    def _lookup_table(self, instance: int) -> dict[object, list[Row]]:
-        table = self._tables.get(instance)
-        if table is None:
-            table = {}
-            pos = self._stored_pos
-            for row in self.spec.stored_fragments[instance].rows:
-                table.setdefault(row[pos], []).append(row)
-            self._tables[instance] = table
-        return table
+    def _first_use(self, instance: int) -> bool:
+        """True on the instance's first activation: its build is due."""
+        if instance in self._charged:
+            return False
+        self._charged.add(instance)
+        return True
 
     def process(self, instance: int, activation: Activation,
                 ctx: ExecContext) -> ProcessResult:
@@ -348,22 +341,18 @@ class PipelinedJoinFunc(DBFunc):
         cost = self.costs.pipelined_activation + penalty
         algorithm = self.spec.algorithm
         if algorithm == JOIN_NESTED_LOOP:
-            matches = self._lookup_table(instance).get(key, ())
+            matches = stored.lookup_table(self._stored_pos).get(key, ())
             cost += (stored.cardinality * self.costs.tuple_pair
                      + len(matches) * self.costs.result_tuple)
         elif algorithm == JOIN_TEMP_INDEX:
-            index = self._indexes.get(instance)
-            if index is None:
-                index = SortedIndex(stored.rows, self._stored_pos)
-                self._indexes[instance] = index
+            if self._first_use(instance):
                 cost += self.costs.index_build_cost(stored.cardinality)
-            matches = index.lookup(key)
+            matches = stored.sorted_index(self._stored_pos).lookup(key)
             cost += self.costs.index_probe_cost(max(stored.cardinality, 1),
                                                 len(matches))
         elif algorithm == JOIN_HASH:
-            first_use = instance not in self._tables
-            matches = self._lookup_table(instance).get(key, ())
-            if first_use:
+            matches = stored.lookup_table(self._stored_pos).get(key, ())
+            if self._first_use(instance):
                 cost += stored.cardinality * self.costs.index_compare
             cost += (self.costs.index_compare
                      + len(matches) * self.costs.result_tuple)

@@ -5,12 +5,19 @@ Lera-par each operator whose input is a partitioned relation gets one
 *instance per fragment*, so fragments are also the unit of
 intra-operator parallelism and — for triggered operators — the unit of
 sequential work.
+
+Fragments also own the read-only join build structures over their rows
+(:meth:`Fragment.lookup_table`, :meth:`Fragment.sorted_index`).  As in
+DBS3, where fragments live in shared memory and every thread of every
+query reads them, each structure is built once and shared by every
+operator and query that joins on the same attribute.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from repro.storage.indexes import LookupTable, SortedIndex, build_lookup_table
 from repro.storage.schema import Schema
 from repro.storage.tuples import Row, row_size_bytes
 
@@ -29,7 +36,7 @@ class Fragment:
     """
 
     __slots__ = ("relation_name", "index", "schema", "rows", "disk",
-                 "_size_cache")
+                 "_size_cache", "_lookup_tables", "_sorted_indexes")
 
     def __init__(self, relation_name: str, index: int, schema: Schema,
                  rows: Iterable[Row] = (), disk: int | None = None) -> None:
@@ -39,6 +46,10 @@ class Fragment:
         self.rows: list[Row] = list(rows)
         self.disk = disk
         self._size_cache: int | None = None
+        # Join build structures keyed by attribute position; None until
+        # the first join asks for one.
+        self._lookup_tables: dict[int, LookupTable] | None = None
+        self._sorted_indexes: dict[int, SortedIndex] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -60,8 +71,9 @@ class Fragment:
 
         Memoized — the engine's cost accounting asks for footprints on
         hot paths; :meth:`append` invalidates the cache.  Mutating
-        ``rows`` directly bypasses the invalidation, so incremental
-        builders must go through :meth:`append`.
+        ``rows`` directly bypasses the invalidation (of this and of the
+        join build structures), so incremental builders must go through
+        :meth:`append`.
         """
         size = self._size_cache
         if size is None:
@@ -69,7 +81,40 @@ class Fragment:
             self._size_cache = size
         return size
 
+    def lookup_table(self, position: int) -> LookupTable:
+        """The fragment's rows grouped by the attribute at *position*.
+
+        Built on first use and shared by every caller until
+        :meth:`append` invalidates it.  Callers must treat the table as
+        read-only (its groups are tuples).
+        """
+        tables = self._lookup_tables
+        if tables is None:
+            tables = self._lookup_tables = {}
+        table = tables.get(position)
+        if table is None:
+            table = tables[position] = build_lookup_table(self.rows, position)
+        return table
+
+    def sorted_index(self, position: int) -> SortedIndex:
+        """The :class:`SortedIndex` over the whole fragment on *position*.
+
+        Memoized and invalidated like :meth:`lookup_table`.
+        """
+        indexes = self._sorted_indexes
+        if indexes is None:
+            indexes = self._sorted_indexes = {}
+        index = indexes.get(position)
+        if index is None:
+            index = indexes[position] = SortedIndex(self.rows, position)
+        return index
+
     def append(self, row: Row) -> None:
-        """Add one row (used when building fragments incrementally)."""
+        """Add one row (used when building fragments incrementally).
+
+        Invalidates the memoized footprint and join build structures.
+        """
         self.rows.append(row)
         self._size_cache = None
+        self._lookup_tables = None
+        self._sorted_indexes = None

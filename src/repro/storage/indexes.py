@@ -10,7 +10,10 @@ Two index kinds back the paper's join algorithms:
 
 Indexes store rows directly (fragments are memory-resident), and both
 expose ``lookup(key) -> list[Row]`` plus build statistics used by the
-cost model.
+cost model.  :func:`build_lookup_table` is the one equi-join table
+builder: :class:`HashIndex` wraps it, and
+:meth:`~repro.storage.fragment.Fragment.lookup_table` memoizes it per
+fragment for the join operators.
 """
 
 from __future__ import annotations
@@ -21,6 +24,24 @@ from typing import Iterable, Sequence
 
 from repro.storage.tuples import Row
 
+#: Equi-join build table: key value -> the rows carrying it, in order.
+LookupTable = dict[object, tuple[Row, ...]]
+
+
+def build_lookup_table(rows: Iterable[Row], key_position: int) -> LookupTable:
+    """Group *rows* by the attribute at *key_position*.
+
+    Each key maps to its rows in input order.  The groups are tuples,
+    so a table shared by several operators (or queries) cannot be
+    mutated through any one of them.
+    """
+    table: dict[object, list[Row]] = {}
+    for row in rows:
+        table.setdefault(row[key_position], []).append(row)
+    for key, group in table.items():
+        table[key] = tuple(group)  # same keys: safe while iterating
+    return table  # type: ignore[return-value]
+
 
 class HashIndex:
     """Hash index on one attribute position of a set of rows."""
@@ -29,19 +50,15 @@ class HashIndex:
 
     def __init__(self, rows: Iterable[Row], key_position: int) -> None:
         self.key_position = key_position
-        self._table: dict[object, list[Row]] = {}
-        count = 0
-        for row in rows:
-            self._table.setdefault(row[key_position], []).append(row)
-            count += 1
-        self.build_rows = count
+        self._table = build_lookup_table(rows, key_position)
+        self.build_rows = sum(len(group) for group in self._table.values())
 
     def __len__(self) -> int:
         return self.build_rows
 
     def lookup(self, key: object) -> list[Row]:
         """All rows whose key attribute equals *key* (possibly empty)."""
-        return self._table.get(key, [])
+        return list(self._table.get(key, ()))
 
     def distinct_keys(self) -> int:
         """Number of distinct key values indexed."""

@@ -150,6 +150,20 @@ class TestPipelinedJoinFunc:
         second = func.process(1, tuple_activation(1, (1, 0)), _ctx()).cost
         assert first > second
 
+    @pytest.mark.parametrize("algorithm", [JOIN_TEMP_INDEX, JOIN_HASH])
+    def test_each_operator_charges_its_own_build(self, algorithm):
+        warm = self._func(algorithm)
+        warm.process(0, tuple_activation(0, (4, 0)), _ctx())
+        # A second operator over the same fragments finds the structure
+        # already built, yet its first probe pays the same build cost.
+        cold = PipelinedJoinFunc(warm.spec, DEFAULT_COSTS)
+        first = cold.process(0, tuple_activation(0, (4, 0)), _ctx()).cost
+        second = cold.process(0, tuple_activation(0, (4, 0)), _ctx()).cost
+        fresh = self._func(algorithm).process(
+            0, tuple_activation(0, (4, 0)), _ctx()).cost
+        assert first == fresh
+        assert first > second
+
     def test_rejects_control_activation(self):
         with pytest.raises(ExecutionError):
             self._func().process(0, trigger(0), _ctx())

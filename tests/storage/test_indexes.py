@@ -19,6 +19,11 @@ class TestHashIndex:
     def test_lookup_miss_is_empty(self):
         assert HashIndex(ROWS, 0).lookup(99) == []
 
+    def test_lookup_returns_a_fresh_list(self):
+        index = HashIndex(ROWS, 0)
+        index.lookup(1).append((1, "x"))
+        assert index.lookup(1) == [(1, "a"), (1, "a2")]
+
     def test_build_rows_counted(self):
         index = HashIndex(ROWS, 0)
         assert index.build_rows == 5
