@@ -2,10 +2,12 @@
 
 Everything else in the observability stack measures the *simulated*
 system in virtual time; this package measures the *simulator* in wall
-time.  The engine's inner loops (ready-index scan, ``_deliver``, the
-wave barrier, admission, the fold pass, fault injection) carry
-``enter``/``exit`` instrumentation guarded by the usual
-``is not None`` no-op check, and the :class:`EngineProfiler`
+time.  The simulator's inner loops (ready-index scan, ``_deliver``,
+fault injection) carry ``enter``/``exit`` instrumentation guarded by
+the usual ``is not None`` no-op check; the workload engine's control
+paths (the wave barrier, admission, the fold pass) open
+:meth:`EngineProfiler.section` blocks through one helper that is a
+no-op without a profiler.  The :class:`EngineProfiler`
 aggregates the timings into a call tree keyed by section *path* — so
 "deliver under sim under run" and "deliver under a regrant callback"
 stay distinct, exactly what a flame graph wants.

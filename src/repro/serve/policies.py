@@ -60,9 +60,8 @@ POLICIES = (POLICY_FIFO, POLICY_PRIORITY, POLICY_FAIR_SHARE, POLICY_EDF)
 SHED_QUEUE_FULL = "queue_full"
 SHED_DEADLINE_INFEASIBLE = "deadline_infeasible"
 
-#: Reject reasons (a query that could *never* run, not overload).
+#: Reject reason (a query that could *never* run, not overload).
 REJECT_MEMORY = "memory_infeasible"
-REJECT_IDLE = "idle_infeasible"
 
 
 @dataclass(frozen=True)

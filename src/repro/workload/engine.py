@@ -6,11 +6,19 @@ bus and trace; the machine — processors, dilation, the event heap —
 is shared, so concurrent queries contend exactly the way the paper's
 threads do inside one query.
 
-Life of a query here:
+Life of a query here.  Every query takes the same path: a private
+query is a shared-work query that folded nothing, and serving,
+telemetry and the profiler attach to the same lifecycle points.
 
-1. **submit** at its arrival offset; it enters the FIFO admission
-   queue (:class:`~repro.workload.admission.AdmissionController`).
-2. **admit** when capacity and the memory gate allow; its sequential
+1. **submit** at its arrival offset (:meth:`_WorkloadRun._submit`).
+   A footprint that can never fit the memory limit raises
+   :class:`~repro.errors.AdmissionError`; under serving it becomes a
+   terminal ``rejected`` status instead.  Otherwise the query enters
+   the wait queue, FIFO unless a serving policy orders it.
+2. **admit** when capacity and the memory gate allow
+   (:class:`~repro.workload.admission.AdmissionController`).  With
+   shared work on, the fold pass first prices the query with its
+   foldable subplans riding on running work.  The sequential
    initialization is charged on the single init thread (start-ups of
    co-arriving queries serialize, as in the single-query executor).
 3. **grant**: "step 0" — :func:`~repro.scheduler.allocation
@@ -19,18 +27,27 @@ Life of a query here:
    own demand.  A lone query gets its full demand, which is what
    makes the one-query path bit-identical to
    :class:`~repro.engine.executor.Executor` (golden-trace tested).
-4. **waves** run through the shared simulator; each wave's
-   per-operation split rescales the query's own schedule to its
-   current grant (largest-remainder, the paper's step-3 rule).
-5. **re-grant**: when a query completes, the freed capacity is
+4. **waves** run through the shared simulator
+   (:meth:`_WorkloadRun._start_wave`).  The query's own operations get
+   pools sized by rescaling its schedule to the current grant
+   (largest-remainder, the paper's step-3 rule); operations it folded
+   onto are waited for, not run.
+5. **re-grant**: when a query finishes, the freed capacity is
    redistributed; with ``rebalance`` on, still-running queries grow
    their *current* wave mid-flight with helper threads (pure
    secondary consumers — the paper's dynamic allocation generalized
    across queries).
+6. **finish** (:meth:`_WorkloadRun._finish`): done, cancelled, timed
+   out or failed, one terminal path freezes the execution, frees the
+   capacity, lets waiters in and re-grants.  Cancellations, timeouts
+   and fault aborts first drain the current wave; the query finishes
+   once its threads have unwound.
 """
 
 from __future__ import annotations
 
+import functools
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.compiler.parallelizer import CompiledQuery
@@ -111,7 +128,6 @@ from repro.scheduler.allocation import (
 )
 from repro.scheduler.complexity import operator_complexity, query_complexity
 from repro.serve.policies import (
-    REJECT_IDLE,
     REJECT_MEMORY,
     SHED_DEADLINE_INFEASIBLE,
     SHED_QUEUE_FULL,
@@ -299,18 +315,11 @@ class _QueryJob:
         self.current_wave_shared: list[SharedOperator] = []
         self.node_complexities: dict[str, float] | None = None
         self.node_footprints: dict[str, int] | None = None
+        self._size_waves()
         if not shared:
             self.runtimes = executor.build_runtimes(self.plan, self.schedule)
             executor.wire_pipelines(self.plan, self.runtimes)
             self.startup = executor.startup_time(self.runtimes, self.schedule)
-            self.wave_totals = [
-                sum(self.schedule.of(node.name).threads
-                    for chain in wave for node in chain.nodes)
-                for wave in self.waves
-            ]
-            #: Step-0 demand: more threads than the widest wave asks
-            #: for could never be used.
-            self.demand = max(self.wave_totals)
             self.footprint = runtime_footprint(self.runtimes)
             self.materialized = True
         else:
@@ -322,12 +331,6 @@ class _QueryJob:
                 node.name: operator_complexity(node.spec, machine.costs)
                 for node in self.plan.nodes}
             self.node_footprints = node_footprints(self.plan, machine.costs)
-            self.wave_totals = [
-                sum(self.schedule.of(node.name).threads
-                    for chain in wave for node in chain.nodes)
-                for wave in self.waves
-            ]
-            self.demand = max(self.wave_totals)
             self.startup = 0.0
             self.footprint = sum(self.node_footprints.values())
             self.materialized = False
@@ -362,6 +365,18 @@ class _QueryJob:
         if self.timeout is not None:
             candidates.append((self.arrival + self.timeout, TIMED_OUT))
         return min(candidates) if candidates else None
+
+    def _size_waves(self) -> None:
+        """Per-wave thread totals of the query's own (unfolded)
+        operations, and the step-0 demand: more threads than the
+        widest wave asks for could never be used."""
+        self.wave_totals = [
+            sum(self.schedule.of(node.name).threads
+                for chain in wave for node in chain.nodes
+                if node.name not in self.folds)
+            for wave in self.waves
+        ]
+        self.demand = max(1, max(self.wave_totals))
 
     # -- shared-work materialization -------------------------------------------
 
@@ -426,13 +441,7 @@ class _QueryJob:
             if registry.register(shared, now):
                 self.hosted.append(shared)
         self.startup = executor.startup_time(self.runtimes, self.schedule)
-        self.wave_totals = [
-            sum(self.schedule.of(node.name).threads
-                for chain in wave for node in chain.nodes
-                if node.name not in folds)
-            for wave in self.waves
-        ]
-        self.demand = max(1, max(self.wave_totals))
+        self._size_waves()
         self.footprint = footprint
         executor.attach_observability(self.runtimes, self.bus, self.tracer)
         self.materialized = True
@@ -470,8 +479,7 @@ class _QueryJob:
                 return 1.0 / len(shared.all_tags)
         return 1.0
 
-    def build_execution(self, executor: Executor,
-                        status: str = STATUS_DONE) -> QueryExecution:
+    def build_execution(self, status: str) -> QueryExecution:
         """Freeze metrics once the last wave finished.
 
         ``response_time`` is measured from *submission*, so it
@@ -484,26 +492,18 @@ class _QueryJob:
         contribute metrics, and ``result_rows`` holds whatever the
         final operator emitted before the query was stopped.
 
-        With shared work in play, folded operators appear here under
-        this query's node names, carrying the host runtime's raw
-        counters at ``cost_share = 1/len(all subscribers)``; a host's
-        own shared operators get the same fractional share.  Result
-        rows of a folded terminal node come from its delivery tap's
-        collector.
+        Folded operators appear here under this query's node names,
+        carrying the host runtime's raw counters at ``cost_share =
+        1/len(all subscribers)``; a host's own shared operators get the
+        same fractional share.  Result rows of a folded terminal node
+        come from its delivery tap's collector.
         """
         assert self.finished_at is not None
-        if not self.materialized:
-            # Withdrawn before admission (shared mode defers building).
-            operations: dict[str, OperationMetrics] = {}
-            result_rows: list = []
-        elif not self.folds and not self.hosted:
-            operations = {name: OperationMetrics.of(rt)
-                          for name, rt in self.runtimes.items()
-                          if rt.finished_at is not None}
-            result_rows = executor.collect_results(self.plan, self.runtimes)
-        else:
-            operations = {}
-            result_rows = []
+        operations: dict[str, OperationMetrics] = {}
+        result_rows: list = []
+        # Not materialized: withdrawn before admission (shared mode
+        # defers building), so there is nothing to report.
+        if self.materialized:
             for node in self.plan.nodes:
                 name = node.name
                 shared = self.folds.get(name)
@@ -553,6 +553,23 @@ class WorkloadExecutor:
         run = _WorkloadRun(self.machine, self.options, self.workload,
                            submissions)
         return run.run()
+
+
+#: The section of a run without a profiler: a no-op context manager,
+#: shared because it holds no state.
+_NO_SECTION = nullcontext()
+
+
+def _profiled(name: str):
+    """Run the decorated :class:`_WorkloadRun` method inside profiler
+    section *name* (a no-op when the run has no profiler)."""
+    def decorate(method):
+        @functools.wraps(method)
+        def profiled(self, *args, **kwargs):
+            with self._section(name):
+                return method(self, *args, **kwargs)
+        return profiled
+    return decorate
 
 
 class _WorkloadRun:
@@ -613,8 +630,7 @@ class _WorkloadRun:
                          if self._profile_requested and ambient is None
                          else ambient)
         self._own_profiler = self._profile_requested and ambient is None
-        if self.profiler is not None:
-            self.simulator.attach_profiler(self.profiler)
+        self.simulator.attach_profiler(self.profiler)
         if workload.faults is not None:
             from repro.faults.injector import FaultInjector
             self.simulator.attach_faults(
@@ -639,17 +655,22 @@ class _WorkloadRun:
 
     # -- outer loop -----------------------------------------------------------
 
+    def _section(self, name: str):
+        """Context manager timing profiler section *name*."""
+        profiler = self.profiler
+        return _NO_SECTION if profiler is None else profiler.section(name)
+
     def run(self) -> WorkloadResult:
         profiler = self.profiler
         if self._own_profiler:
             profiler.start()
         try:
-            return self._run(profiler)
+            return self._run()
         finally:
             if self._own_profiler:
                 profiler.stop()
 
-    def _run(self, profiler) -> WorkloadResult:
+    def _run(self) -> WorkloadResult:
         # Control points: query arrivals plus scheduled cancellation /
         # timeout deadlines, in one merged timeline.  Arrivals sort
         # before deadlines at the same instant (a query cancelled at
@@ -667,52 +688,31 @@ class _WorkloadRun:
             # Drain the simulation up to (and including) the control
             # instant, so admission sees the machine state at that
             # virtual time — completions at t <= now already applied.
-            if profiler is not None:
-                profiler.enter("sim")
-            self.simulator.run(until=now)
-            if profiler is not None:
-                profiler.exit()
-                profiler.enter("control")
-            self._maybe_recycle_thread_ids()
-            arrived = False
-            deadlines: list[tuple[_QueryJob, str]] = []
-            while index < len(events) and events[index][0] <= now:
-                _, _, order, kind = events[index]
-                index += 1
-                job = self.jobs[order]
-                if kind == "arrive":
-                    if self.serving is None:
-                        self.bus.emit(QUERY_SUBMIT, job.arrival, job.tag,
-                                      demand=job.demand,
-                                      footprint=job.footprint)
-                        self.admission.check_admissible(job.tag,
-                                                        job.footprint)
-                        self.queue.push(job)
-                        if self.metrics is not None:
-                            self.metrics.counter(QUERIES_SUBMITTED).inc(now)
-                            self.metrics.gauge(ADMISSION_QUEUE_DEPTH).set(
-                                now, len(self.queue))
+            with self._section("sim"):
+                self.simulator.run(until=now)
+            with self._section("control"):
+                self._maybe_recycle_thread_ids()
+                arrived = False
+                deadlines: list[tuple[_QueryJob, str]] = []
+                while index < len(events) and events[index][0] <= now:
+                    _, _, order, kind = events[index]
+                    index += 1
+                    job = self.jobs[order]
+                    if kind == "arrive":
+                        self._submit(job, now)
+                        arrived = True
                     else:
-                        self._submit_serving(job, now)
-                    arrived = True
-                else:
-                    deadlines.append((job, kind))
-            # Deadlines apply before admission: a query cancelled at
-            # its arrival instant is withdrawn from the FIFO queue and
-            # never touches the machine.
-            for job, outcome in deadlines:
-                self._apply_deadline(job, now, outcome)
-            if arrived:
-                self._try_admit(now)
-            if profiler is not None:
-                profiler.exit()
-        if profiler is not None:
-            profiler.enter("sim")
-        self.simulator.run()
-        if profiler is not None:
-            profiler.exit()
-            profiler.enter("assemble")
-        try:
+                        deadlines.append((job, kind))
+                # Deadlines apply before admission: a query cancelled
+                # at its arrival instant is withdrawn from the wait
+                # queue and never touches the machine.
+                for job, outcome in deadlines:
+                    self._apply_deadline(job, now, outcome)
+                if arrived:
+                    self._try_admit(now)
+        with self._section("sim"):
+            self.simulator.run()
+        with self._section("assemble"):
             stuck = [job.tag for job in self.jobs
                      if job.state not in TERMINAL_STATES]
             if stuck:
@@ -740,9 +740,6 @@ class _WorkloadRun:
                 decisions=(self.adapt.explanation
                            if self.adapt is not None else None),
             )
-        finally:
-            if profiler is not None:
-                profiler.exit()
 
     def _maybe_recycle_thread_ids(self) -> None:
         """Reset thread-id allocation when the machine is quiescent.
@@ -760,6 +757,35 @@ class _WorkloadRun:
                 and self.machine.directory is None):
             self.next_thread_id = 0
             self.startup_free_at = 0.0
+
+    def _submit(self, job: _QueryJob, now: float) -> None:
+        """Arrival: check the footprint, then enter the wait queue.
+
+        A query whose footprint can never fit raises
+        :class:`AdmissionError` into the caller.  Under the serving
+        layer it is rejected instead: an open-loop arrival stream has
+        no caller to raise into, so the query becomes a terminal
+        ``rejected`` status the client reads back, and the run keeps
+        serving everyone else.
+        """
+        extra = ({"priority": job.priority, "tenant": job.tenant}
+                 if self.serving is not None else {})
+        self.bus.emit(QUERY_SUBMIT, job.arrival, job.tag,
+                      demand=job.demand, footprint=job.footprint, **extra)
+        if self.metrics is not None:
+            self.metrics.counter(QUERIES_SUBMITTED).inc(now)
+        try:
+            self.admission.check_admissible(job.tag, job.footprint)
+        except AdmissionError as error:
+            if self.serving is None:
+                raise
+            self._reject(job, now, REJECTED, REJECT_MEMORY,
+                         detail=str(error))
+            return
+        self.queue.push(job)
+        if self.metrics is not None:
+            self.metrics.gauge(ADMISSION_QUEUE_DEPTH).set(
+                now, len(self.queue))
 
     # -- cancellation / abort --------------------------------------------------
 
@@ -781,7 +807,7 @@ class _WorkloadRun:
             self.queue.remove(job)
             job.state = outcome
             job.finished_at = now
-            job.execution = job.build_execution(self.executor, status=outcome)
+            job.execution = job.build_execution(outcome)
             self.bus.emit(QUERY_CANCEL, now, job.tag, reason=reason,
                           admitted=False, discarded=0)
             self._record_terminal(job, now, outcome)
@@ -798,7 +824,7 @@ class _WorkloadRun:
             # A wave emptied by detaching shared operators (or one
             # that was only waiting on shared work) has no thread left
             # to unwind, so the terminal bookkeeping happens here.
-            self._maybe_finish_cancelling(job, now)
+            self._maybe_finish_cancelling(job)
 
     def _on_query_abort(self, operation: OperationRuntime,
                         error: ExecutionFaultError, at: float) -> None:
@@ -845,25 +871,7 @@ class _WorkloadRun:
                           discarded=discarded)
         if self.sharing is not None:
             for member in cohort:
-                self._maybe_finish_cancelling(member, at)
-
-    def _terminate(self, job: _QueryJob, finish: float) -> None:
-        """Terminal bookkeeping once a stopped query's truncated wave
-        has fully unwound (mirrors :meth:`_complete`)."""
-        job.state = job.outcome
-        job.finished_at = finish
-        job.execution = job.build_execution(self.executor,
-                                            status=job.outcome)
-        self.running.remove(job)
-        self.admission.release(job.footprint, at=finish)
-        self.bus.emit(QUERY_FINISH, finish, job.tag,
-                      response_time=finish - job.arrival,
-                      threads=job.max_threads, status=job.outcome)
-        self._record_terminal(job, finish, job.outcome)
-        self._try_admit(finish)
-        if self.running:
-            self._refresh_grants(
-                finish, grow=self.workload.scheduling.rebalance)
+                self._maybe_finish_cancelling(member)
 
     def _record_terminal(self, job: _QueryJob, finish: float,
                          status: str) -> None:
@@ -882,17 +890,13 @@ class _WorkloadRun:
             return
         metrics = self.metrics
         metrics.counter(QUERIES_FINISHED, status=status).inc(finish)
-        if self.serving is not None:
-            # Per-class series: the serving benchmark's per-priority /
-            # per-tenant tail latencies read these.  Only with serving
-            # on — legacy runs keep the exact legacy label sets.
-            metrics.histogram(QUERY_LATENCY, status=status,
-                              klass=f"p{job.priority}",
-                              tenant=job.tenant).observe(
-                finish, finish - job.arrival)
-        else:
-            metrics.histogram(QUERY_LATENCY, status=status).observe(
-                finish, finish - job.arrival)
+        # Per-class series: the serving benchmark's per-priority /
+        # per-tenant tail latencies read these.  Only with serving on —
+        # other runs keep the label set without class and tenant.
+        labels = ({"klass": f"p{job.priority}", "tenant": job.tenant}
+                  if self.serving is not None else {})
+        metrics.histogram(QUERY_LATENCY, status=status, **labels).observe(
+            finish, finish - job.arrival)
         metrics.gauge(RUNNING_QUERIES).set(finish, len(self.running))
         metrics.gauge(ADMISSION_QUEUE_DEPTH).set(finish, len(self.queue))
         execution = job.execution
@@ -949,43 +953,22 @@ class _WorkloadRun:
                 if runtime in job.current_wave_ops:
                     job.current_wave_ops.remove(runtime)
 
-    def _maybe_finish_cancelling(self, job: _QueryJob, now: float) -> None:
-        """Terminate a CANCELLING query whose wave has nothing left to
-        unwind (every remaining own operation already complete — e.g.
-        after detaching shared operators left the wave empty)."""
+    def _maybe_finish_cancelling(self, job: _QueryJob) -> None:
+        """Terminate a CANCELLING query once its drained wave has
+        nothing left to unwind: each thread finishes its in-flight
+        activation, and the last one to land (or the stop request
+        itself, when detaching shared operators left the wave empty)
+        sets the finish time."""
         if job.state != CANCELLING:
             return
         if any(not op.complete for op in job.current_wave_ops):
             return
+        requested = job.cancel_requested_at
         finish = max((op.finished_at for op in job.current_wave_ops),
-                     default=now)
-        self._terminate(job, max(finish, now))
+                     default=requested)
+        self._finish(job, max(finish, requested), job.outcome)
 
     # -- serving / overload protection ----------------------------------------
-
-    def _submit_serving(self, job: _QueryJob, now: float) -> None:
-        """Arrival under the serving layer: reject instead of raise.
-
-        An open-loop arrival stream has no caller to raise into — a
-        query whose footprint can never fit becomes a terminal
-        ``rejected`` status the client reads back, and the run keeps
-        serving everyone else.
-        """
-        self.bus.emit(QUERY_SUBMIT, job.arrival, job.tag,
-                      demand=job.demand, footprint=job.footprint,
-                      priority=job.priority, tenant=job.tenant)
-        if self.metrics is not None:
-            self.metrics.counter(QUERIES_SUBMITTED).inc(now)
-        try:
-            self.admission.check_admissible(job.tag, job.footprint)
-        except AdmissionError as error:
-            self._reject(job, now, REJECTED, REJECT_MEMORY,
-                         detail=str(error))
-            return
-        self.queue.push(job)
-        if self.metrics is not None:
-            self.metrics.gauge(ADMISSION_QUEUE_DEPTH).set(
-                now, len(self.queue))
 
     def _reject(self, job: _QueryJob, now: float, status: str,
                 reason: str, detail: str | None = None) -> None:
@@ -1001,7 +984,7 @@ class _WorkloadRun:
         """
         job.state = status
         job.finished_at = now
-        job.execution = job.build_execution(self.executor, status=status)
+        job.execution = job.build_execution(status)
         payload = {"status": status, "reason": reason}
         if detail is not None:
             payload["detail"] = detail
@@ -1065,8 +1048,10 @@ class _WorkloadRun:
 
     # -- admission ------------------------------------------------------------
 
+    @_profiled("admission")
     def _try_admit(self, now: float) -> None:
-        """Admit as many queued queries as capacity allows, FIFO.
+        """Admit as many queued queries as capacity allows, in the
+        wait queue's order, then shed down to a bounded queue.
 
         Co-admissible queries (e.g. simultaneous arrivals at t=0)
         are admitted as one *batch*: grants are computed once over
@@ -1075,19 +1060,6 @@ class _WorkloadRun:
         them — the first arrival does not grab its full demand just
         because it was popped first.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("admission")
-        try:
-            self._try_admit_now(now)
-            if self.serving is not None:
-                self._enforce_queue_bound(now)
-        finally:
-            if profiler is not None:
-                profiler.exit()
-
-    def _try_admit_now(self, now: float) -> None:
-        profiler = self.profiler
         serving = self.serving
         if serving is not None:
             self._update_brownout(now)
@@ -1107,60 +1079,47 @@ class _WorkloadRun:
             if self.sharing is not None and not job.materialized:
                 # Fold pass: price the query with its foldable subplans
                 # shared before asking the memory gate.
-                if profiler is not None:
-                    profiler.enter("fold")
-                folds = plan_folds(job.plan, self.sharing, now)
-                footprint = projected_footprint(
-                    job.plan, job.node_footprints, folds)
-                if profiler is not None:
-                    profiler.exit()
+                with self._section("fold"):
+                    folds = plan_folds(job.plan, self.sharing, now)
+                    footprint = projected_footprint(
+                        job.plan, job.node_footprints, folds)
             else:
                 folds = None
                 footprint = job.footprint
-            if not self.admission.fits(footprint):
-                if (serving is not None and self.brownout
-                        and folds is not None and folds
-                        and len(folds) == len(job.plan.nodes)
-                        and self.admission.fits_memory(footprint)):
-                    # Brownout fold-through: every node of this query
-                    # folds onto already-running work, so admitting it
-                    # past the concurrency bound adds no machine load —
-                    # it only lets the fold amortize further.
-                    pass
-                elif not self.running and not admitted:
-                    # Nothing runs, yet the head still does not fit:
-                    # no future completion can free capacity.
-                    if serving is not None:
-                        self.queue.pop(job)
-                        self._reject(job, now, REJECTED, REJECT_IDLE)
-                        continue
-                    raise AdmissionError(
-                        f"query {job.tag!r} cannot be admitted on an idle "
-                        f"machine (footprint {footprint} bytes, "
-                        f"{len(self.queue)} queued)")
-                else:
-                    break
+            # Brownout fold-through: a query whose every node folds
+            # onto already-running work adds no machine load, so it may
+            # pass the concurrency bound — it only lets the fold
+            # amortize further.  The head always fits an idle machine:
+            # submit rejected any footprint above the memory limit,
+            # and folding only lowers it.
+            if not self.admission.fits(footprint) and not (
+                    self.brownout and folds
+                    and len(folds) == len(job.plan.nodes)
+                    and self.admission.fits_memory(footprint)):
+                break
             self.queue.pop(job)
             self.queue.on_admit(job)
             if folds is not None:
-                if profiler is not None:
-                    profiler.enter("fold")
-                job.materialize(self.executor, self.sharing, folds,
-                                footprint, now)
-                if self.metrics is not None:
-                    self._record_fold_pass(job, folds, now)
-                if profiler is not None:
-                    profiler.exit()
+                with self._section("fold"):
+                    job.materialize(self.executor, self.sharing, folds,
+                                    footprint, now)
+                    if self.metrics is not None:
+                        self._record_fold_pass(job, folds, now)
             job.state = RUNNING
             job.admitted_at = now
             self.running.append(job)
             self.admission.acquire(job.footprint, at=now)
             admitted.append(job)
-        if not admitted:
-            return
+        if admitted:
+            self._launch(admitted, now)
+        if serving is not None:
+            self._enforce_queue_bound(now)
+
+    def _launch(self, admitted: list[_QueryJob], now: float) -> None:
+        """Grant a batch of newly admitted queries and start their
+        first waves once their sequential start-ups are done."""
         grants = self._grants()
         for job in admitted:
-            job.grant = grants[job.tag]
             # The folds payload names the hosting query of every folded
             # node — the span model's subscriber->host link.  Only
             # attached when non-empty, so unfolded admissions (and
@@ -1171,15 +1130,11 @@ class _WorkloadRun:
             self.bus.emit(QUERY_ADMIT, now, job.tag,
                           running=len(self.running), queued=len(self.queue),
                           footprint=job.footprint, **extra)
-            self.bus.emit(QUERY_GRANT, now, job.tag, threads=job.grant,
-                          budget=self.budget, reason="admission")
             if self.metrics is not None:
                 self.metrics.counter(QUERIES_ADMITTED).inc(now)
                 self.metrics.histogram(ADMISSION_WAIT).observe(
                     now, now - job.arrival)
-                self.metrics.counter(GRANTS, reason="admission").inc(now)
-                self.metrics.gauge(GRANTED_THREADS, query=job.tag).set(
-                    now, job.grant)
+            self._set_grant(job, now, grants[job.tag], "admission")
         if self.metrics is not None:
             self.metrics.gauge(ADMISSION_QUEUE_DEPTH).set(
                 now, len(self.queue))
@@ -1200,17 +1155,23 @@ class _WorkloadRun:
         for job in self.running:
             if job in admitted or grants[job.tag] >= job.grant:
                 continue
-            job.grant = grants[job.tag]
-            self.bus.emit(QUERY_GRANT, now, job.tag, threads=job.grant,
-                          budget=self.budget, reason="shrink")
-            if self.metrics is not None:
-                self.metrics.counter(GRANTS, reason="shrink").inc(now)
-                self.metrics.gauge(GRANTED_THREADS, query=job.tag).set(
-                    now, job.grant)
+            self._set_grant(job, now, grants[job.tag], "shrink")
         for job in admitted:
             begin = max(now, self.startup_free_at)
             self.startup_free_at = begin + job.startup
             self._start_wave(job, begin + job.startup)
+
+    def _set_grant(self, job: _QueryJob, now: float, threads: int,
+                   reason: str) -> None:
+        """Set *job*'s step-0 grant and record it (event, counter and
+        gauge); ``reason`` is admission, shrink or regrant."""
+        job.grant = threads
+        self.bus.emit(QUERY_GRANT, now, job.tag, threads=threads,
+                      budget=self.budget, reason=reason)
+        if self.metrics is not None:
+            self.metrics.counter(GRANTS, reason=reason).inc(now)
+            self.metrics.gauge(GRANTED_THREADS, query=job.tag).set(
+                now, threads)
 
     def _record_fold_pass(self, job: _QueryJob,
                           folds: dict[str, SharedOperator],
@@ -1242,36 +1203,28 @@ class _WorkloadRun:
         proportionally less of the machine.  Without sharing the
         property degenerates to the plain complexity.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("allocate")
         policy = self.workload.scheduling
-        if policy.multi_resource:
-            # Garofalakis-style step 0: the grant is capped at the
-            # thread-equivalent of each query's binding resource.  The
-            # stored-data footprint stands in for both the memory and
-            # the streamed-from-disk demand of the simulated query.
-            grants = allocate_to_queries(
-                self.budget,
-                [job.demand for job in self.running],
-                [job.effective_complexity for job in self.running],
-                resources=[ResourceVector(cpu=job.demand,
-                                          memory_bytes=job.footprint,
-                                          disk_bytes=job.footprint)
-                           for job in self.running],
-                capacities=ResourceVector(
+        resources = capacities = None
+        with self._section("allocate"):
+            if policy.multi_resource:
+                # Garofalakis-style step 0: the grant is capped at the
+                # thread-equivalent of each query's binding resource.
+                # The stored-data footprint stands in for both the
+                # memory and the streamed-from-disk demand of the
+                # simulated query.
+                resources = [ResourceVector(cpu=job.demand,
+                                            memory_bytes=job.footprint,
+                                            disk_bytes=job.footprint)
+                             for job in self.running]
+                capacities = ResourceVector(
                     cpu=self.budget,
                     memory_bytes=self.workload.memory_limit_bytes,
-                    disk_bytes=policy.disk_bandwidth_bytes),
-            )
-        else:
+                    disk_bytes=policy.disk_bandwidth_bytes)
             grants = allocate_to_queries(
                 self.budget,
                 [job.demand for job in self.running],
                 [job.effective_complexity for job in self.running],
-            )
-        if profiler is not None:
-            profiler.exit()
+                resources=resources, capacities=capacities)
         if self.brownout:
             # Browned out: trade per-query parallelism (and its
             # dilation cost) for throughput before shedding anyone.
@@ -1282,135 +1235,68 @@ class _WorkloadRun:
 
     # -- waves ---------------------------------------------------------------
 
+    @_profiled("wave_prep")
     def _start_wave(self, job: _QueryJob, at: float) -> None:
-        if self.sharing is not None and job.folds:
-            self._start_wave_shared(job, at)
-            return
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("wave_prep")
+        """Start the next wave of *job* at virtual time *at*.
+
+        Only the query's *own* operations get pools and threads;
+        shared operators it folded onto are tracked in
+        ``current_wave_shared``, and the wave completes when both sets
+        do (a pending shared runtime registers this job as a waiter).
+        A query without folds is the case of an empty shared set.
+        Only first-wave operators of a query whose pools have not
+        started are fold targets, so a folded wave always has own or
+        pending shared work.
+        """
         job.wave_index += 1
         job.wave_started_at = at
-        wave = job.waves[job.wave_index]
-        wave_ops = [job.runtimes[node.name]
-                    for chain in wave for node in chain.nodes]
-        base = [job.schedule.of(op.name).threads for op in wave_ops]
-        base_total = sum(base)
-        wave_total = min(base_total, max(job.grant, len(wave_ops)))
-        if wave_total == base_total:
-            # Grant covers the demand: the schedule applies verbatim
-            # (largest-remainder over integer weights is exact, but
-            # skipping it keeps the fact obvious).
-            shares = base
-        else:
-            shares = _largest_remainder(wave_total, base)
-        if self.adapt is not None:
-            shares = self.adapt.before_wave(job.tag, job.wave_index,
-                                            wave_ops, base, wave_total,
-                                            shares, at)
-        counts = {op.name: share for op, share in zip(wave_ops, shares)}
-        self.next_thread_id, wave_threads = self.executor.prepare_wave(
-            wave_ops, counts, at, self.next_thread_id)
-        job.current_wave_ops = wave_ops
+        own_ops: list[OperationRuntime] = []
+        shared_of: dict[int, SharedOperator] = {}
+        for chain in job.waves[job.wave_index]:
+            for node in chain.nodes:
+                shared = job.folds.get(node.name)
+                if shared is None:
+                    own_ops.append(job.runtimes[node.name])
+                else:
+                    shared_of.setdefault(id(shared), shared)
+        job.current_wave_shared = list(shared_of.values())
+        wave_threads = 0
+        if own_ops:
+            base = [job.schedule.of(op.name).threads for op in own_ops]
+            base_total = sum(base)
+            wave_total = min(base_total, max(job.grant, len(own_ops)))
+            # A grant that covers the demand applies the schedule
+            # verbatim (largest-remainder over integer weights is
+            # exact, but skipping it keeps the fact obvious).
+            shares = (base if wave_total == base_total
+                      else _largest_remainder(wave_total, base))
+            if self.adapt is not None:
+                shares = self.adapt.before_wave(
+                    job.tag, job.wave_index, own_ops, base, wave_total,
+                    shares, at)
+            counts = {op.name: share for op, share in zip(own_ops, shares)}
+            self.next_thread_id, wave_threads = self.executor.prepare_wave(
+                own_ops, counts, at, self.next_thread_id)
+            job.max_dilation = max(job.max_dilation,
+                                   self.machine.dilation(wave_threads))
+        job.current_wave_ops = own_ops
         job.wave_threads = wave_threads
         job.max_threads = max(job.max_threads, wave_threads)
-        job.max_dilation = max(job.max_dilation,
-                               self.machine.dilation(wave_threads))
-        for op in wave_ops:
+        for op in own_ops:
             self._job_of[id(op)] = job
         if job.bus is not None:
+            extra = ({"shared": [s.runtime.name
+                                 for s in job.current_wave_shared]}
+                     if job.folds else {})
             job.bus.emit(WAVE_START, at, wave=job.wave_index,
-                         operations=[op.name for op in wave_ops],
-                         threads=wave_threads)
-        self.simulator.add_operations(wave_ops)
-        if profiler is not None:
-            profiler.exit()
-
-    def _start_wave_shared(self, job: _QueryJob, at: float) -> None:
-        """Start the next wave of a query with folded subplans.
-
-        Only the query's *own* (unfolded) operations get pools and
-        threads; shared operators it rides on are tracked in
-        ``current_wave_shared`` and the wave completes when both sets
-        do (a pending shared runtime registers this job as a waiter).
-        A wave whose work is entirely folded-and-finished advances
-        immediately — possibly through several waves, or straight to
-        completion for a fully duplicate query.
-        """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("wave_prep")
-        try:
-            self._start_wave_shared_now(job, at)
-        finally:
-            if profiler is not None:
-                profiler.exit()
-
-    def _start_wave_shared_now(self, job: _QueryJob, at: float) -> None:
-        while True:
-            job.wave_index += 1
-            job.wave_started_at = at
-            wave = job.waves[job.wave_index]
-            own_ops: list[OperationRuntime] = []
-            shared_list: list[SharedOperator] = []
-            seen: set[int] = set()
-            for chain in wave:
-                for node in chain.nodes:
-                    shared = job.folds.get(node.name)
-                    if shared is None:
-                        own_ops.append(job.runtimes[node.name])
-                    elif id(shared) not in seen:
-                        seen.add(id(shared))
-                        shared_list.append(shared)
-            job.current_wave_shared = shared_list
-            if own_ops:
-                base = [job.schedule.of(op.name).threads for op in own_ops]
-                base_total = sum(base)
-                wave_total = min(base_total, max(job.grant, len(own_ops)))
-                shares = (base if wave_total == base_total
-                          else _largest_remainder(wave_total, base))
-                if self.adapt is not None:
-                    shares = self.adapt.before_wave(
-                        job.tag, job.wave_index, own_ops, base,
-                        wave_total, shares, at)
-                counts = {op.name: share
-                          for op, share in zip(own_ops, shares)}
-                self.next_thread_id, wave_threads = self.executor.prepare_wave(
-                    own_ops, counts, at, self.next_thread_id)
-            else:
-                wave_threads = 0
-            job.current_wave_ops = own_ops
-            job.wave_threads = wave_threads
-            job.max_threads = max(job.max_threads, wave_threads)
-            if wave_threads:
-                job.max_dilation = max(job.max_dilation,
-                                       self.machine.dilation(wave_threads))
-            for op in own_ops:
-                self._job_of[id(op)] = job
-            if job.bus is not None:
-                job.bus.emit(WAVE_START, at, wave=job.wave_index,
-                             operations=[op.name for op in own_ops],
-                             shared=[s.runtime.name for s in shared_list],
-                             threads=wave_threads)
-            if own_ops:
-                self.simulator.add_operations(own_ops)
-            pending = [s for s in shared_list if not s.runtime.complete]
-            for shared in pending:
+                         operations=[op.name for op in own_ops],
+                         **extra, threads=wave_threads)
+        if own_ops:
+            self.simulator.add_operations(own_ops)
+        for shared in job.current_wave_shared:
+            if not shared.runtime.complete:
                 self._waiters_of.setdefault(
                     id(shared.runtime), []).append(job)
-            if own_ops or pending:
-                return
-            # Everything in this wave folded onto already-finished
-            # work: close it and move on (or finish the query).
-            finish = max((s.runtime.finished_at for s in shared_list),
-                         default=at)
-            finish = max(finish, at)
-            if job.bus is not None:
-                job.bus.emit(WAVE_END, finish, wave=job.wave_index)
-            if job.wave_index + 1 >= len(job.waves):
-                self._complete(job, finish)
-                return
-            at = finish
 
     def _on_operation_complete(self, operation: OperationRuntime,
                                thread: WorkerThread) -> None:
@@ -1424,32 +1310,18 @@ class _WorkloadRun:
             return
         self._advance_if_wave_done(job)
 
+    @_profiled("wave_barrier")
     def _advance_if_wave_done(self, job: _QueryJob) -> None:
         """Advance (or terminate) *job* if its current wave is done.
 
-        A wave is done when every own operation is complete and — for
-        shared-work queries — every shared operator it rides on in
-        this wave is too.
+        A wave is done when every own operation is complete and every
+        shared operator it rides on in this wave is too.  A drained
+        wave completes operation by operation as each thread finishes
+        its in-flight activation; once the last one lands the stopped
+        query reaches its terminal state.
         """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("wave_barrier")
-        try:
-            self._advance_if_wave_done_now(job)
-        finally:
-            if profiler is not None:
-                profiler.exit()
-
-    def _advance_if_wave_done_now(self, job: _QueryJob) -> None:
         if job.state == CANCELLING:
-            # A drained wave completes operation by operation as each
-            # thread finishes its in-flight activation; once the last
-            # one lands the query reaches its terminal state.
-            if any(not op.complete for op in job.current_wave_ops):
-                return
-            finishes = [op.finished_at for op in job.current_wave_ops]
-            finish = max(finishes) if finishes else job.cancel_requested_at
-            self._terminate(job, max(finish, job.cancel_requested_at))
+            self._maybe_finish_cancelling(job)
             return
         if job.state != RUNNING:
             return
@@ -1484,58 +1356,52 @@ class _WorkloadRun:
         if job.wave_index + 1 < len(job.waves):
             self._start_wave(job, finish)
             return
-        self._complete(job, finish)
+        self._finish(job, finish, DONE)
 
-    def _complete(self, job: _QueryJob, finish: float) -> None:
-        job.state = DONE
-        job.finished_at = finish
-        if self.sharing is not None:
-            self._release_shared(job, finish)
-        job.execution = job.build_execution(self.executor)
+    def _finish(self, job: _QueryJob, at: float, status: str) -> None:
+        """Terminal bookkeeping of an admitted query: its last wave
+        finished (``done``), or its drained wave has fully unwound
+        (``cancelled``/``timed_out``/``failed``).  A stopped query
+        already left its shared operators when the stop was requested.
+        """
+        job.state = status
+        job.finished_at = at
+        if status == DONE:
+            self._release_shared(job, at)
+        job.execution = job.build_execution(status)
         self.running.remove(job)
-        self.admission.release(job.footprint, at=finish)
-        self.bus.emit(QUERY_FINISH, finish, job.tag,
-                      response_time=finish - job.arrival,
-                      threads=job.max_threads)
-        self._record_terminal(job, finish, DONE)
+        self.admission.release(job.footprint, at=at)
+        stopped = {"status": status} if status != DONE else {}
+        self.bus.emit(QUERY_FINISH, at, job.tag,
+                      response_time=at - job.arrival,
+                      threads=job.max_threads, **stopped)
+        self._record_terminal(job, at, status)
         # Freed capacity: first let queued queries in, then re-grant
         # the remaining budget across everyone still running.  With
         # zero survivors there is nothing to re-grant and no event to
         # emit — the workload bus ends on this query.finish.
-        self._try_admit(finish)
-        if self.running:
-            self._refresh_grants(
-                finish, grow=self.workload.scheduling.rebalance)
+        self._try_admit(at)
+        self._refresh_grants(at)
 
     # -- dynamic reallocation ---------------------------------------------------
 
-    def _refresh_grants(self, now: float, grow: bool) -> None:
+    def _refresh_grants(self, now: float) -> None:
         if not self.running:
             return
         if self.serving is not None:
             self._update_brownout(now)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.enter("regrant")
-        grants = self._grants()
-        for job in self.running:
-            new = grants[job.tag]
-            if new == job.grant:
-                continue
-            grew = new > job.grant
-            job.grant = new
-            self.bus.emit(QUERY_GRANT, now, job.tag, threads=new,
-                          budget=self.budget,
-                          reason="regrant" if grew else "shrink")
-            if self.metrics is not None:
-                self.metrics.counter(
-                    GRANTS, reason="regrant" if grew else "shrink").inc(now)
-                self.metrics.gauge(GRANTED_THREADS, query=job.tag).set(
-                    now, new)
-            if grew and grow and job.current_wave_ops:
-                self._grow_current_wave(job, now)
-        if profiler is not None:
-            profiler.exit()
+        with self._section("regrant"):
+            grants = self._grants()
+            for job in self.running:
+                new = grants[job.tag]
+                if new == job.grant:
+                    continue
+                grew = new > job.grant
+                self._set_grant(job, now, new,
+                                "regrant" if grew else "shrink")
+                if (grew and self.workload.scheduling.rebalance
+                        and job.current_wave_ops):
+                    self._grow_current_wave(job, now)
         if self.monitors is not None:
             self.monitors.observe(
                 POINT_REGRANT, now, running=len(self.running),

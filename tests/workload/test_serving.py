@@ -7,7 +7,8 @@ full client surface intact (terminal status, ``QueryShedError``,
 ``query.reject`` event, backpressure signal, span reject reason,
 report serving section); memory- and deadline-infeasible queries
 become ``rejected``/``shed`` statuses instead of raising into the
-open-loop stream; and brownout without monitor rules never trips.
+open-loop stream; brownout without monitor rules never trips, and with
+them it shrinks grants and admits a fully folded waiter past the bound.
 """
 
 import pytest
@@ -21,7 +22,14 @@ from repro import (
     generate_wisconsin,
 )
 from repro.errors import QueryRejectedError, QueryShedError
-from repro.obs.bus import QUERY_REJECT, SERVE_BACKPRESSURE, SERVE_BROWNOUT
+from repro.obs.bus import (
+    QUERY_ADMIT,
+    QUERY_GRANT,
+    QUERY_REJECT,
+    SERVE_BACKPRESSURE,
+    SERVE_BROWNOUT,
+)
+from repro.obs.monitor import default_monitors
 from repro.workload.session import DONE, REJECTED, SHED
 
 SQL = "SELECT * FROM A JOIN B ON A.unique1 = B.unique1"
@@ -158,3 +166,42 @@ class TestBrownout:
         assert not [e for e in result.bus.events
                     if e.kind == SERVE_BROWNOUT]
         assert not result.report().serving.get("brownout_tripped", False)
+
+    def run_tripped(self, db, serving):
+        """Six duplicates, one at a time: the tight SLO's burn-rate
+        alert fires while the queue drains, so brownout trips."""
+        session = db.session(WorkloadOptions(
+            max_concurrent=1, shared=True, serving=serving,
+            observability=ObservabilityOptions(monitors=default_monitors(
+                slo=0.001, burn_budget=0.01))))
+        handles = [session.submit(SQL, at=i * 0.0005, threads=8,
+                                  tag=f"q{i}")
+                   for i in range(6)]
+        return handles, session.run()
+
+    def test_tripped_brownout_shrinks_grants_and_folds_through(self, db):
+        handles, result = self.run_tripped(
+            db, ServingPolicy(brownout=True, brownout_factor=0.5))
+        (brownout,) = [e for e in result.bus.events
+                       if e.kind == SERVE_BROWNOUT]
+        assert brownout.data == {"active": True, "factor": 0.5}
+        assert brownout.t == pytest.approx(0.2905, abs=1e-4)
+        admits = {e.operation: e for e in result.bus.events
+                  if e.kind == QUERY_ADMIT}
+        grants = {e.operation: e.data["threads"] for e in result.bus.events
+                  if e.kind == QUERY_GRANT
+                  and e.data["reason"] == "admission"}
+        # q4 is admitted as the bound allows, at half its demand of 8.
+        assert admits["q4"].t == brownout.t
+        assert admits["q4"].data["running"] == 2
+        assert grants["q4"] == 4
+        # q5 folds entirely onto q4 and is admitted past the bound of
+        # one running query, on the one-thread floor.
+        assert admits["q5"].t == brownout.t
+        assert admits["q5"].data["folds"] == {"join": "q4"}
+        assert grants["q5"] == 1
+        assert [h.status for h in handles] == [DONE] * 6
+        baseline, _ = self.run_tripped(db, None)
+        for handle, reference in zip(handles, baseline):
+            assert (sorted(handle.result().rows)
+                    == sorted(reference.result().rows))
