@@ -8,6 +8,7 @@ simulator wave by wave across the plan's chain DAG.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.engine.dbfuncs import make_dbfunc
@@ -18,7 +19,7 @@ from repro.engine.trace import ExecutionTrace
 from repro.engine.strategies import RANDOM, make_strategy
 from repro.errors import ExecutionError, PlanError
 from repro.lera.activation import PIPELINED, TRIGGERED
-from repro.lera.graph import PIPELINE, LeraGraph
+from repro.lera.graph import PIPELINE, LeraGraph, LeraNode
 from repro.lera.operators import AggregateSpec, PipelinedJoinSpec, StoreSpec
 from repro.machine.cache import REMOTE_HOME
 from repro.machine.machine import Machine
@@ -192,7 +193,7 @@ class Executor:
         plan.validate()
         runtimes = self.build_runtimes(plan, schedule)
         self.wire_pipelines(plan, runtimes)
-        startup = self.startup_time(runtimes, schedule)
+        startup = self.startup_time(plan.nodes, schedule)
 
         bus = EventBus() if self.options.observe else None
         tracer = (ExecutionTrace()
@@ -345,23 +346,25 @@ class Executor:
             producer.router = _router_for(consumer)
             consumer.producers_remaining += 1
 
-    def startup_time(self, runtimes: dict[str, OperationRuntime],
+    def startup_time(self, nodes: Iterable[LeraNode],
                      schedule: QuerySchedule) -> float:
-        """Sequential initialization: create threads and queues.
+        """Sequential initialization of *nodes*: create threads and queues.
 
         "Before the execution takes place, a sequential initialization
         step is necessary.  The duration of this step is proportional
         to the degree of parallelism."  Queue creation is also where
         the degree-of-partitioning overhead of Figure 16 originates.
+        Priced from the plan alone, so the workload engine knows a
+        query's start-up before it builds anything.
         """
         costs = self.machine.costs
         total = 0.0
-        for runtime in runtimes.values():
-            total += schedule.of(runtime.name).threads * costs.thread_create
+        for node in nodes:
+            total += schedule.of(node.name).threads * costs.thread_create
             per_queue = (costs.queue_create_pipelined
-                         if runtime.node.trigger_mode == PIPELINED
+                         if node.trigger_mode == PIPELINED
                          else costs.queue_create_triggered)
-            total += runtime.instances * per_queue
+            total += node.instances * per_queue
         return total
 
     def _place_segments(self, operation: OperationRuntime) -> None:

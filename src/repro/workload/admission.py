@@ -20,41 +20,37 @@ budget can *never* be admitted and raises :class:`~repro.errors
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.engine.dbfuncs import make_dbfunc
 from repro.errors import AdmissionError
 from repro.lera.graph import LeraGraph
 from repro.machine.costs import CostModel
 from repro.workload.options import WorkloadOptions
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.engine.operation import OperationRuntime
 
+def node_footprints(plan: LeraGraph, costs: CostModel) -> dict[str, int]:
+    """Per-node stored-data footprint (bytes), no runtimes needed.
 
-def runtime_footprint(runtimes: "dict[str, OperationRuntime]") -> int:
-    """Estimated stored-data bytes the built runtimes will read."""
-    total = 0
-    for runtime in runtimes.values():
-        for instance in range(runtime.instances):
-            for _key, size in runtime.dbfunc.segments(instance):
-                total += size
-    return total
-
-
-def plan_footprint(plan: LeraGraph, costs: CostModel) -> int:
-    """Estimated stored-data bytes of *plan* (no runtimes needed).
-
-    Builds throwaway dbfuncs to ask each operator for its segments;
-    used by the Session API to fail an impossible submission eagerly.
+    Builds throwaway dbfuncs to ask each operator for its segments.
+    The workload engine prices a query from this at submit time, long
+    before it builds anything; the shared-work fold pass re-prices the
+    folded nodes at a *fraction* of their bytes.
     """
-    total = 0
+    footprints: dict[str, int] = {}
     for node in plan.nodes:
         dbfunc = make_dbfunc(node.spec, costs)
+        total = 0
         for instance in range(node.instances):
             for _key, size in dbfunc.segments(instance):
                 total += size
-    return total
+        footprints[node.name] = total
+    return footprints
+
+
+def plan_footprint(plan: LeraGraph, costs: CostModel) -> int:
+    """Estimated stored-data bytes of *plan*: the sum of its
+    :func:`node_footprints`.  The Session API uses it to fail an
+    impossible submission eagerly."""
+    return sum(node_footprints(plan, costs).values())
 
 
 class AdmissionController:

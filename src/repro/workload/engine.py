@@ -11,16 +11,21 @@ query is a shared-work query that folded nothing, and serving,
 telemetry and the profiler attach to the same lifecycle points.
 
 1. **submit** at its arrival offset (:meth:`_WorkloadRun._submit`).
-   A footprint that can never fit the memory limit raises
-   :class:`~repro.errors.AdmissionError`; under serving it becomes a
-   terminal ``rejected`` status instead.  Otherwise the query enters
-   the wait queue, FIFO unless a serving policy orders it.
+   The query is priced from its plan alone — demand, footprint and
+   start-up; nothing is built yet.  A footprint that can never fit
+   the memory limit raises :class:`~repro.errors.AdmissionError`;
+   under serving it becomes a terminal ``rejected`` status instead.
+   Otherwise the query enters the wait queue, FIFO unless a serving
+   policy orders it.  Shed, rejected and withdrawn queries leave from
+   here and never build anything.
 2. **admit** when capacity and the memory gate allow
    (:class:`~repro.workload.admission.AdmissionController`).  With
    shared work on, the fold pass first prices the query with its
-   foldable subplans riding on running work.  The sequential
-   initialization is charged on the single init thread (start-ups of
-   co-arriving queries serialize, as in the single-query executor).
+   foldable subplans riding on running work.  Admission is the one
+   place a query builds its runtimes (:meth:`_QueryJob.materialize`).
+   The sequential initialization is charged on the single init
+   thread (start-ups of co-arriving queries serialize, as in the
+   single-query executor).
 3. **grant**: "step 0" — :func:`~repro.scheduler.allocation
    .allocate_to_queries` splits the machine's thread budget across
    running queries by estimated complexity, capped at each query's
@@ -38,10 +43,12 @@ telemetry and the profiler attach to the same lifecycle points.
    secondary consumers — the paper's dynamic allocation generalized
    across queries).
 6. **finish** (:meth:`_WorkloadRun._finish`): done, cancelled, timed
-   out or failed, one terminal path freezes the execution, frees the
-   capacity, lets waiters in and re-grants.  Cancellations, timeouts
-   and fault aborts first drain the current wave; the query finishes
-   once its threads have unwound.
+   out or failed, one terminal path freezes the execution, releases
+   the runtimes, frees the capacity, lets waiters in and re-grants.
+   Cancellations, timeouts and fault aborts first drain the current
+   wave; the query finishes once its threads have unwound.  Only the
+   frozen execution stays, so the run holds the execution state of
+   the queries in flight, not of every arrival.
 """
 
 from __future__ import annotations
@@ -134,12 +141,11 @@ from repro.serve.policies import (
     make_admission_policy,
     provably_infeasible,
 )
-from repro.workload.admission import AdmissionController, runtime_footprint
+from repro.workload.admission import AdmissionController, node_footprints
 from repro.workload.options import WorkloadOptions
 from repro.workload.sharing import (
     FoldRegistry,
     SharedOperator,
-    node_footprints,
     plan_folds,
     projected_footprint,
 )
@@ -287,7 +293,26 @@ class WorkloadResult:
 
 
 class _QueryJob:
-    """Mutable per-query execution state inside one workload run."""
+    """Mutable per-query execution state inside one workload run.
+
+    Construction prices the query from its plan alone — demand,
+    complexity, footprint and start-up, what submit and admission
+    read.  The extended view (runtimes, queues, dbfuncs, pipeline
+    wiring) is built by :meth:`materialize` at admission and dropped
+    by :meth:`release` at the terminal state, so a run holds the
+    execution state of the queries in flight, not of every arrival.
+    """
+
+    __slots__ = (
+        "tag", "compiled", "plan", "schedule", "arrival", "timeout",
+        "cancel_at", "priority", "tenant", "order", "waves", "complexity",
+        "folds", "hosted", "shared_results", "current_wave_shared",
+        "node_complexities", "node_footprints", "footprint", "startup",
+        "wave_totals", "demand", "runtimes", "bus", "tracer", "state",
+        "wave_started_at", "grant", "wave_index", "current_wave_ops",
+        "wave_threads", "max_threads", "max_dilation", "admitted_at",
+        "finished_at", "execution", "outcome", "error",
+        "cancel_requested_at")
 
     def __init__(self, submission: QuerySubmission, order: int,
                  machine: Machine, executor: Executor,
@@ -306,40 +331,27 @@ class _QueryJob:
         self.plan.validate()
         self.waves = self.plan.chain_waves()
         self.complexity = query_complexity(self.plan, machine.costs)
-        self.shared_mode = shared
-        #: Shared-work state.  All empty/None on the private path, so
-        #: every sharing branch below reduces to the legacy behaviour.
+        #: Shared-work state, set at admission.  A private query is
+        #: one that folded nothing and hosts nothing.
         self.folds: dict[str, SharedOperator] = {}
         self.hosted: list[SharedOperator] = []
         self.shared_results: dict[str, list] = {}
         self.current_wave_shared: list[SharedOperator] = []
         self.node_complexities: dict[str, float] | None = None
-        self.node_footprints: dict[str, int] | None = None
+        self.node_footprints = node_footprints(self.plan, machine.costs)
+        self.footprint = sum(self.node_footprints.values())
+        #: The start-up EDF's infeasibility test reads before
+        #: admission.  Under sharing any node may still fold onto
+        #: running work, so no start-up is certain until the fold pass.
+        self.startup = (0.0 if shared
+                        else executor.startup_time(self.plan.nodes,
+                                                   self.schedule))
         self._size_waves()
-        if not shared:
-            self.runtimes = executor.build_runtimes(self.plan, self.schedule)
-            executor.wire_pipelines(self.plan, self.runtimes)
-            self.startup = executor.startup_time(self.runtimes, self.schedule)
-            self.footprint = runtime_footprint(self.runtimes)
-            self.materialized = True
-        else:
-            # Runtime construction is deferred to admission time: the
-            # fold pass needs the registry state *then*, and folded
-            # nodes never build runtimes at all.
-            self.runtimes = {}
-            self.node_complexities = {
-                node.name: operator_complexity(node.spec, machine.costs)
-                for node in self.plan.nodes}
-            self.node_footprints = node_footprints(self.plan, machine.costs)
-            self.startup = 0.0
-            self.footprint = sum(self.node_footprints.values())
-            self.materialized = False
+        self.runtimes: dict[str, OperationRuntime] = {}
         self.bus = EventBus() if exec_options.observe else None
         self.tracer = (ExecutionTrace()
                        if exec_options.trace or exec_options.observe
                        else None)
-        if self.materialized:
-            executor.attach_observability(self.runtimes, self.bus, self.tracer)
         self.state = QUEUED
         self.wave_started_at = 0.0
         self.grant = 0
@@ -378,25 +390,30 @@ class _QueryJob:
         ]
         self.demand = max(1, max(self.wave_totals))
 
-    # -- shared-work materialization -------------------------------------------
+    # -- materialization ----------------------------------------------------------
 
-    def materialize(self, executor: Executor, registry: FoldRegistry,
+    def materialize(self, executor: Executor,
+                    registry: FoldRegistry | None,
                     folds: dict[str, SharedOperator], footprint: int,
                     now: float) -> None:
-        """Build this query's private runtimes given its fold set.
+        """Build this query's runtimes given its fold set.
 
-        Runs at admission time (shared mode only).  Folded nodes get
-        no runtimes — instead the host operator gains a delivery tap
-        at each *frontier* folded node (one whose pipeline consumer is
-        private, or which is terminal here); interior folded nodes
-        need nothing, their data flows inside the host's own wiring.
-        Afterwards the query's start-up, demand and footprint are
-        recomputed over the private remainder: what folded rides free.
+        Runs once, at admission; a query that is never admitted never
+        builds.  Folded nodes get no runtimes — instead the host
+        operator gains a delivery tap at each *frontier* folded node
+        (one whose pipeline consumer is private, or which is terminal
+        here); interior folded nodes need nothing, their data flows
+        inside the host's own wiring.  With a fold *registry* (shared
+        work on), the query's own shareable first-wave operators are
+        offered as fold targets.  Afterwards the query's start-up,
+        demand and footprint cover the private remainder: what folded
+        rides free.  A private query folds nothing, so this is the
+        whole extended view.
         """
         self.folds = folds
-        own = {node.name for node in self.plan.nodes} - set(folds)
-        self.runtimes = executor.build_runtimes(self.plan, self.schedule,
-                                                only=own)
+        own = [node for node in self.plan.nodes if node.name not in folds]
+        self.runtimes = executor.build_runtimes(
+            self.plan, self.schedule, only={node.name for node in own})
         for edge in self.plan.edges:
             if (edge.kind != PIPELINE or edge.producer in folds
                     or edge.consumer in folds):
@@ -421,30 +438,49 @@ class _QueryJob:
                 consumer.producers_remaining += 1
             shared.runtime.taps.append(tap)
             shared.attach(self.tag, tap)
-        # Offer this query's own shareable first-wave operators as fold
-        # targets for later arrivals (first live entry wins; duplicate
-        # subplans within one plan stay private).
-        wave0 = {node.name for chain in self.waves[0] for node in chain.nodes}
-        fingerprints = self.plan.fingerprints()
-        for node in self.plan.nodes:
-            name = node.name
-            if name in folds or name not in wave0:
-                continue
-            fingerprint = fingerprints[name]
-            if fingerprint is None:
-                continue
-            shared = SharedOperator(
-                runtime=self.runtimes[name], host_tag=self.tag,
-                fingerprint=fingerprint,
-                complexity=self.node_complexities[name],
-                footprint=self.node_footprints[name])
-            if registry.register(shared, now):
-                self.hosted.append(shared)
-        self.startup = executor.startup_time(self.runtimes, self.schedule)
+        if registry is not None:
+            self.node_complexities = {
+                node.name: operator_complexity(node.spec,
+                                               executor.machine.costs)
+                for node in self.plan.nodes}
+            # Offer this query's own shareable first-wave operators as
+            # fold targets for later arrivals (first live entry wins;
+            # duplicate subplans within one plan stay private).
+            wave0 = {node.name for chain in self.waves[0]
+                     for node in chain.nodes}
+            fingerprints = self.plan.fingerprints()
+            for node in own:
+                fingerprint = fingerprints[node.name]
+                if node.name not in wave0 or fingerprint is None:
+                    continue
+                shared = SharedOperator(
+                    runtime=self.runtimes[node.name], host_tag=self.tag,
+                    fingerprint=fingerprint,
+                    complexity=self.node_complexities[node.name],
+                    footprint=self.node_footprints[node.name])
+                if registry.register(shared, now):
+                    self.hosted.append(shared)
+        self.startup = executor.startup_time(own, self.schedule)
         self._size_waves()
         self.footprint = footprint
         executor.attach_observability(self.runtimes, self.bus, self.tracer)
-        self.materialized = True
+
+    def release(self) -> None:
+        """Drop the execution state once the query is terminal.
+
+        The frozen :attr:`execution` keeps the metrics, rows, trace
+        and bus; everything else the query built goes.  A hosted
+        operator that still feeds subscribers stays alive through its
+        :class:`SharedOperator`, which the subscribers hold.
+        """
+        self.runtimes = {}
+        self.current_wave_ops = []
+        self.current_wave_shared = []
+        self.folds = {}
+        self.hosted = []
+        self.shared_results = {}
+        self.node_complexities = None
+        self.node_footprints = None
 
     @property
     def effective_complexity(self) -> float:
@@ -501,9 +537,8 @@ class _QueryJob:
         assert self.finished_at is not None
         operations: dict[str, OperationMetrics] = {}
         result_rows: list = []
-        # Not materialized: withdrawn before admission (shared mode
-        # defers building), so there is nothing to report.
-        if self.materialized:
+        # Never admitted: nothing was built, nothing to report.
+        if self.admitted_at is not None:
             for node in self.plan.nodes:
                 name = node.name
                 shared = self.folds.get(name)
@@ -651,6 +686,9 @@ class _WorkloadRun:
         #: The single sequential-initialization thread: start-ups of
         #: co-admitted queries serialize behind each other.
         self.startup_free_at = 0.0
+        #: Owner of every started runtime, keyed by ``id``.  A job's
+        #: entries leave when it is released, before its runtimes can
+        #: be freed and their ids reused.
         self._job_of: dict[int, _QueryJob] = {}
 
     # -- outer loop -----------------------------------------------------------
@@ -808,6 +846,7 @@ class _WorkloadRun:
             job.state = outcome
             job.finished_at = now
             job.execution = job.build_execution(outcome)
+            self._release(job)
             self.bus.emit(QUERY_CANCEL, now, job.tag, reason=reason,
                           admitted=False, discarded=0)
             self._record_terminal(job, now, outcome)
@@ -832,15 +871,20 @@ class _WorkloadRun:
 
         The owning query fails cleanly — its wave is drained and its
         capacity eventually regranted to survivors — instead of the
-        fault tearing down the whole workload.
+        fault tearing down the whole workload.  A failed shared
+        operator takes its live subscribers with it.  Only running
+        queries join the cohort: one already draining just lets the
+        failing thread wind down, and a terminal one (a cancelled host
+        whose detached operator kept feeding its subscribers) has no
+        state left to fail.
         """
         job = self._job_of.get(id(operation))
-        if job is None:
-            raise error
         shared = (self.sharing.by_runtime(id(operation))
                   if self.sharing is not None else None)
+        if job is None and shared is None:
+            raise error
         cohort: list[_QueryJob] = []
-        if job.state != CANCELLING:
+        if job is not None and job.state == RUNNING:
             cohort.append(job)
         if shared is not None:
             # A shared operator failed: every live subscriber loses the
@@ -857,7 +901,7 @@ class _WorkloadRun:
             member.outcome = FAILED
             member.error = error if member is job else ExecutionFaultError(
                 f"shared operation {operation.name!r} (hosted by "
-                f"{job.tag!r}) aborted: {error}")
+                f"{shared.host_tag!r}) aborted: {error}")
             member.cancel_requested_at = at
         if self.sharing is not None:
             for member in cohort:
@@ -925,7 +969,7 @@ class _WorkloadRun:
         set and keeps running for the survivors; without survivors it
         stays in the host's wave and is drained with it.  Idempotent.
         """
-        if self.sharing is None or not job.materialized:
+        if self.sharing is None or job.admitted_at is None:
             return
         seen: set[int] = set()
         for shared in job.folds.values():
@@ -985,6 +1029,7 @@ class _WorkloadRun:
         job.state = status
         job.finished_at = now
         job.execution = job.build_execution(status)
+        self._release(job)
         payload = {"status": status, "reason": reason}
         if detail is not None:
             payload["detail"] = detail
@@ -1076,7 +1121,7 @@ class _WorkloadRun:
                 self.queue.pop(job)
                 self._reject(job, now, SHED, SHED_DEADLINE_INFEASIBLE)
                 continue
-            if self.sharing is not None and not job.materialized:
+            if self.sharing is not None:
                 # Fold pass: price the query with its foldable subplans
                 # shared before asking the memory gate.
                 with self._section("fold"):
@@ -1084,7 +1129,7 @@ class _WorkloadRun:
                     footprint = projected_footprint(
                         job.plan, job.node_footprints, folds)
             else:
-                folds = None
+                folds = {}
                 footprint = job.footprint
             # Brownout fold-through: a query whose every node folds
             # onto already-running work adds no machine load, so it may
@@ -1099,12 +1144,15 @@ class _WorkloadRun:
                 break
             self.queue.pop(job)
             self.queue.on_admit(job)
-            if folds is not None:
-                with self._section("fold"):
-                    job.materialize(self.executor, self.sharing, folds,
-                                    footprint, now)
-                    if self.metrics is not None:
-                        self._record_fold_pass(job, folds, now)
+            # The one place a query builds its runtimes: shed, rejected
+            # and withdrawn queries never get here.  Only shared work
+            # has a fold pass to time it under.
+            with (self._section("fold") if self.sharing is not None
+                  else _NO_SECTION):
+                job.materialize(self.executor, self.sharing, folds,
+                                footprint, now)
+                if self.sharing is not None and self.metrics is not None:
+                    self._record_fold_pass(job, folds, now)
             job.state = RUNNING
             job.admitted_at = now
             self.running.append(job)
@@ -1369,6 +1417,7 @@ class _WorkloadRun:
         if status == DONE:
             self._release_shared(job, at)
         job.execution = job.build_execution(status)
+        self._release(job)
         self.running.remove(job)
         self.admission.release(job.footprint, at=at)
         stopped = {"status": status} if status != DONE else {}
@@ -1382,6 +1431,14 @@ class _WorkloadRun:
         # emit — the workload bus ends on this query.finish.
         self._try_admit(at)
         self._refresh_grants(at)
+
+    def _release(self, job: _QueryJob) -> None:
+        """Free a terminal query's execution state.  Its runtimes leave
+        the id-keyed owner map first: once freed, their ids may be
+        reused by runtimes built later."""
+        for runtime in job.runtimes.values():
+            self._job_of.pop(id(runtime), None)
+        job.release()
 
     # -- dynamic reallocation ---------------------------------------------------
 

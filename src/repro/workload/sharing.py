@@ -40,30 +40,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine.dbfuncs import make_dbfunc
 from repro.lera.graph import LeraGraph
-from repro.machine.costs import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.engine.operation import DeliveryTap, OperationRuntime
-
-
-def node_footprints(plan: LeraGraph, costs: CostModel) -> dict[str, int]:
-    """Per-node stored-data footprint (bytes), no runtimes needed.
-
-    The per-node decomposition of :func:`~repro.workload.admission
-    .plan_footprint` — the shared-work fold pass needs it to price a
-    query whose folded nodes cost only a *fraction* of their bytes.
-    """
-    footprints: dict[str, int] = {}
-    for node in plan.nodes:
-        dbfunc = make_dbfunc(node.spec, costs)
-        total = 0
-        for instance in range(node.instances):
-            for _key, size in dbfunc.segments(instance):
-                total += size
-        footprints[node.name] = total
-    return footprints
 
 
 class SharedOperator:
@@ -166,11 +146,6 @@ class FoldRegistry:
     def by_runtime(self, runtime_id: int) -> SharedOperator | None:
         """The shared operator wrapping a runtime, if it is shared."""
         return self._by_runtime.get(runtime_id)
-
-    def shared_count(self) -> int:
-        """Registered operators that gained at least one subscriber."""
-        return sum(1 for s in self._by_runtime.values()
-                   if len(s.all_tags) > 1)
 
 
 def plan_folds(plan: LeraGraph, registry: FoldRegistry,

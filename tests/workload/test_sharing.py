@@ -27,7 +27,7 @@ import pytest
 from repro import DBS3, WorkloadOptions, generate_wisconsin
 from repro.faults import ActivationFaults, FaultPlan
 from repro.lera.plans import ideal_join_plan
-from repro.obs.bus import QUERY_ABORT, QUERY_ADMIT
+from repro.obs.bus import QUERY_ABORT, QUERY_ADMIT, QUERY_FINISH
 from repro.workload.admission import plan_footprint
 from repro.workload.session import CANCELLED, DONE, FAILED
 
@@ -209,6 +209,44 @@ class TestCohortAbort:
                   if e.kind == QUERY_ABORT}
         assert set(aborts) == {"qa", "qb"}
         assert "hosted by 'qa'" in aborts["qb"]["error"]
+
+    @pytest.mark.parametrize("cancel_at", [0.0005, 0.005, 0.05])
+    def test_cancelled_host_then_shared_fault_fails_only_the_rider(
+            self, db, cancel_at):
+        """The host is cancelled first, so its shared join is detached
+        and keeps feeding the rider until its retries run out.  The
+        abort takes the rider (the operator's one live subscriber); the
+        already-cancelled host must not rejoin the cohort and finish a
+        second time."""
+        faults = FaultPlan(activations=(
+            ActivationFaults(operation="doomed_join", rate=1.0,
+                             max_retries=8, backoff=0.01,
+                             backoff_cap=0.5),))
+        session = db.session(options=WorkloadOptions(
+            max_concurrent=3, shared=True, faults=faults))
+        schema = db.table("A").relation.schema.concat(
+            db.table("B").relation.schema)
+        host = session.submit_plan(
+            ideal_join_plan(db.table("A"), db.table("B"),
+                            "unique1", "unique1",
+                            node_name="doomed_join"),
+            schema, threads=10, tag="qa")
+        rider = session.submit_plan(
+            ideal_join_plan(db.table("A"), db.table("B"),
+                            "unique1", "unique1",
+                            node_name="rider_join"),
+            schema, threads=10, tag="qb")
+        host.cancel(at=cancel_at)
+        result = session.run()
+        assert host.status == CANCELLED
+        assert rider.status == FAILED
+        assert "hosted by 'qa'" in result.errors["qb"]
+        finishes = [e.operation for e in result.bus.events
+                    if e.kind == QUERY_FINISH]
+        assert sorted(finishes) == ["qa", "qb"]
+        aborts = [e.operation for e in result.bus.events
+                  if e.kind == QUERY_ABORT]
+        assert aborts == ["qb"]
 
 
 class TestFoldabilityWindow:
